@@ -94,7 +94,6 @@ def cmd_gadgets(args) -> int:
         image,
         max_insns=args.max_insns,
         window_back=args.window_back,
-        workers=args.workers,
     )
     shown = 0
     for addr, entry in gset.by_address():
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("binary")
     p.add_argument("--max-insns", type=int, default=DEFAULT_MAX_INSNS)
     p.add_argument("--window-back", type=int, default=DEFAULT_WINDOW_BACK)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--class",
         dest="gadget_class",

@@ -71,7 +71,7 @@ FREE_BRANCH_LENGTH = {
     FreeBranchKind.CALL_INDIRECT: 2,
 }
 
-_FREE_BRANCH_OF = {
+FREE_BRANCH_OF = {
     Mnemonic.RET: FreeBranchKind.RET,
     Mnemonic.RET_IMM16: FreeBranchKind.RET_IMM16,
     Mnemonic.JMP_INDIRECT: FreeBranchKind.JMP_INDIRECT,
@@ -98,6 +98,82 @@ def _sign32(v: int) -> int:
     return v - 0x1_0000_0000 if v >= 0x8000_0000 else v
 
 
+@dataclass(frozen=True)
+class Rule:
+    """One encoding of the subset: byte ranges (inclusive), length, mnemonic.
+
+    ``second`` constrains the byte after the opcode (a ModRM byte); None
+    leaves it free.  An offset matches when its bytes fall in the ranges and
+    the whole ``length`` fits before the end of the buffer.
+    """
+
+    first: tuple[int, int]
+    second: tuple[int, int] | None
+    length: int
+    mnemonic: Mnemonic
+
+
+# The subset, written once: the decoder and the vectorized scanner in
+# ropforge.kernels both read it.  ModRM 0xc0-0xff is mod=11 (register forms);
+# ff d0-d7 is /2 and ff e0-e7 is /4, both mod=11; 83/81 c4 is /0 on esp.
+RULES = (
+    Rule((0xC3, 0xC3), None, 1, Mnemonic.RET),
+    Rule((0xC9, 0xC9), None, 1, Mnemonic.LEAVE),
+    Rule((0x90, 0x90), None, 1, Mnemonic.NOP),
+    Rule((0x50, 0x57), None, 1, Mnemonic.PUSH_REG),
+    Rule((0x58, 0x5F), None, 1, Mnemonic.POP_REG),
+    Rule((0xC2, 0xC2), None, 3, Mnemonic.RET_IMM16),
+    Rule((0xCD, 0xCD), None, 2, Mnemonic.INT_IMM8),
+    Rule((0x68, 0x68), None, 5, Mnemonic.PUSH_IMM32),
+    Rule((0xB8, 0xBF), None, 5, Mnemonic.MOV_REG_IMM32),
+    Rule((0x89, 0x89), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG),
+    Rule((0x8B, 0x8B), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG),
+    Rule((0x31, 0x31), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG),
+    Rule((0x33, 0x33), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG),
+    Rule((0xFF, 0xFF), (0xD0, 0xD7), 2, Mnemonic.CALL_INDIRECT),
+    Rule((0xFF, 0xFF), (0xE0, 0xE7), 2, Mnemonic.JMP_INDIRECT),
+    Rule((0x83, 0x83), (0xC4, 0xC4), 3, Mnemonic.ADD_ESP_IMM8),
+    Rule((0x81, 0x81), (0xC4, 0xC4), 6, Mnemonic.ADD_ESP_IMM32),
+)
+
+# Rules by first byte, for the decoder's lookup.
+_RULES_BY_FIRST: dict[int, tuple[Rule, ...]] = {
+    b: tuple(r for r in RULES if r.first[0] <= b <= r.first[1]) for b in range(256)
+}
+
+
+def _u16(data: bytes, at: int) -> int:
+    return int.from_bytes(data[at : at + 2], "little")
+
+
+def _u32(data: bytes, at: int) -> int:
+    return int.from_bytes(data[at : at + 4], "little")
+
+
+def _modrm_pair(data: bytes, at: int) -> tuple[int, int]:
+    """(dst, src) of a register-form mov/xor; 89/31 store into r/m, 8b/33 load."""
+    modrm = data[at + 1]
+    reg, rm = (modrm >> 3) & 7, modrm & 7
+    return (rm, reg) if data[at] in (0x89, 0x31) else (reg, rm)
+
+
+# Operand extraction per mnemonic, from the instruction's first byte.
+_OPERANDS = {
+    Mnemonic.PUSH_REG: lambda d, o: (d[o] - 0x50,),
+    Mnemonic.POP_REG: lambda d, o: (d[o] - 0x58,),
+    Mnemonic.RET_IMM16: lambda d, o: (_u16(d, o + 1),),
+    Mnemonic.INT_IMM8: lambda d, o: (d[o + 1],),
+    Mnemonic.PUSH_IMM32: lambda d, o: (_u32(d, o + 1),),
+    Mnemonic.MOV_REG_IMM32: lambda d, o: (d[o] - 0xB8, _u32(d, o + 1)),
+    Mnemonic.MOV_REG_REG: _modrm_pair,
+    Mnemonic.XOR_REG_REG: _modrm_pair,
+    Mnemonic.CALL_INDIRECT: lambda d, o: (d[o + 1] - 0xD0,),
+    Mnemonic.JMP_INDIRECT: lambda d, o: (d[o + 1] - 0xE0,),
+    Mnemonic.ADD_ESP_IMM8: lambda d, o: (_sign8(d[o + 2]),),
+    Mnemonic.ADD_ESP_IMM32: lambda d, o: (_sign32(_u32(d, o + 2)),),
+}
+
+
 def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     """Decode a single instruction at ``offset``; total over non-empty input.
 
@@ -107,56 +183,16 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     n = len(data)
     if not 0 <= offset < n:
         raise IndexError(f"offset {offset} outside buffer of {n} bytes")
-    b = data[offset]
-
-    if b == 0xC3:
-        return Instruction(vaddr, 1, Mnemonic.RET)
-    if b == 0xC9:
-        return Instruction(vaddr, 1, Mnemonic.LEAVE)
-    if b == 0x90:
-        return Instruction(vaddr, 1, Mnemonic.NOP)
-    if 0x50 <= b <= 0x57:
-        return Instruction(vaddr, 1, Mnemonic.PUSH_REG, (b - 0x50,))
-    if 0x58 <= b <= 0x5F:
-        return Instruction(vaddr, 1, Mnemonic.POP_REG, (b - 0x58,))
-
-    if b == 0xC2 and offset + 3 <= n:
-        imm = int.from_bytes(data[offset + 1 : offset + 3], "little")
-        return Instruction(vaddr, 3, Mnemonic.RET_IMM16, (imm,))
-    if b == 0xCD and offset + 2 <= n:
-        return Instruction(vaddr, 2, Mnemonic.INT_IMM8, (data[offset + 1],))
-    if b == 0x68 and offset + 5 <= n:
-        imm = int.from_bytes(data[offset + 1 : offset + 5], "little")
-        return Instruction(vaddr, 5, Mnemonic.PUSH_IMM32, (imm,))
-    if 0xB8 <= b <= 0xBF and offset + 5 <= n:
-        imm = int.from_bytes(data[offset + 1 : offset + 5], "little")
-        return Instruction(vaddr, 5, Mnemonic.MOV_REG_IMM32, (b - 0xB8, imm))
-
-    if b in (0x89, 0x8B, 0x31, 0x33) and offset + 2 <= n:
-        modrm = data[offset + 1]
-        if modrm >> 6 == 0b11:  # register-to-register forms only
-            reg = (modrm >> 3) & 7
-            rm = modrm & 7
-            # 0x89/0x31 store into r/m; 0x8B/0x33 load into reg.
-            dst, src = (rm, reg) if b in (0x89, 0x31) else (reg, rm)
-            mnem = Mnemonic.MOV_REG_REG if b in (0x89, 0x8B) else Mnemonic.XOR_REG_REG
-            return Instruction(vaddr, 2, mnem, (dst, src))
-        return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
-
-    if b == 0xFF and offset + 2 <= n:
-        modrm = data[offset + 1]
-        if 0xD0 <= modrm <= 0xD7:  # /2, mod=11
-            return Instruction(vaddr, 2, Mnemonic.CALL_INDIRECT, (modrm - 0xD0,))
-        if 0xE0 <= modrm <= 0xE7:  # /4, mod=11
-            return Instruction(vaddr, 2, Mnemonic.JMP_INDIRECT, (modrm - 0xE0,))
-        return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
-
-    if b == 0x83 and offset + 3 <= n and data[offset + 1] == 0xC4:
-        return Instruction(vaddr, 3, Mnemonic.ADD_ESP_IMM8, (_sign8(data[offset + 2]),))
-    if b == 0x81 and offset + 6 <= n and data[offset + 1] == 0xC4:
-        imm = int.from_bytes(data[offset + 2 : offset + 6], "little")
-        return Instruction(vaddr, 6, Mnemonic.ADD_ESP_IMM32, (_sign32(imm),))
-
+    for rule in _RULES_BY_FIRST[data[offset]]:
+        if offset + rule.length > n:
+            continue
+        if rule.second is not None:
+            lo, hi = rule.second
+            if not lo <= data[offset + 1] <= hi:
+                continue
+        extract = _OPERANDS.get(rule.mnemonic)
+        operands = extract(data, offset) if extract else ()
+        return Instruction(vaddr, rule.length, rule.mnemonic, operands)
     return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
 
 
@@ -183,7 +219,7 @@ def decode_window(
 
 
 def free_branch_kind(insn: Instruction) -> FreeBranchKind | None:
-    return _FREE_BRANCH_OF.get(insn.mnemonic)
+    return FREE_BRANCH_OF.get(insn.mnemonic)
 
 
 def _imm(v: int) -> str:

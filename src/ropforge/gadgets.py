@@ -8,13 +8,11 @@ dedup-by-bytes set, and the classifier the chain planner consumes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .disasm import (
+    REG_NAMES,
     FreeBranchKind,
     Instruction,
     Mnemonic,
@@ -26,6 +24,7 @@ from .image import BinaryImage, Section
 
 DEFAULT_MAX_INSNS = 5
 DEFAULT_WINDOW_BACK = 20
+ESP = REG_NAMES.index("esp")
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,10 @@ def classify(g: Gadget) -> GadgetClass:
         if not body:
             return GadgetClass("ret_only")
         if all(i.mnemonic is Mnemonic.POP_REG for i in body):
-            return GadgetClass("pop_ret", arity=len(body), regs=tuple(i.operands[0] for i in body))
+            regs = tuple(i.operands[0] for i in body)
+            # pop esp loads the stack pointer from the chain: not a cleanup.
+            if ESP not in regs:
+                return GadgetClass("pop_ret", arity=len(body), regs=regs)
         if len(body) == 1 and body[0].mnemonic in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
             return GadgetClass("stack_pivot", delta=body[0].operands[0])
     return GadgetClass("other")
@@ -114,56 +116,17 @@ def find_pop_ret(gset: GadgetSet, arity: int) -> Gadget | None:
     return gset.find_pop_ret(arity)
 
 
-def _section_windows(section: Section, max_insns: int, window_back: int, workers: int):
-    """(start, end) windows for one section, optionally split across threads.
-
-    Chunks partition the terminator offsets, not the windows, so a window
-    reaching back past a chunk boundary still belongs to exactly one chunk
-    and the merged result is independent of ``workers``.
-    """
-    data = section.data
-    if workers <= 1 or len(data) < 2 * workers:
-        return kernels.scan_gadget_windows(data, window_back, max_insns)
-
-    bounds = np.linspace(0, len(data), workers + 1, dtype=int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-
-    def scan_span(span):
-        lo, hi = span
-        # Overlap so multi-byte terminators starting before `hi` decode fully,
-        # then keep only windows whose terminator offset lands in [lo, hi).
-        chunk_end = min(len(data), hi + 8)
-        chunk_start = max(0, lo - window_back - 8)
-        windows = kernels.scan_gadget_windows(
-            data[chunk_start:chunk_end], window_back, max_insns
-        )
-        out = []
-        for s, e in windows:
-            term_insns = decode_window(data, chunk_start + s, chunk_start + e)
-            assert term_insns, "window valid on a chunk must decode on the full section"
-            term_off = chunk_start + e - term_insns[-1].length
-            if lo <= term_off < hi:
-                out.append((chunk_start + s, chunk_start + e))
-        return out
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(scan_span, spans))
-    merged = sorted({w for chunk in results for w in chunk})
-    return merged
-
-
 def enumerate_gadgets(
     image: BinaryImage,
     max_insns: int = DEFAULT_MAX_INSNS,
     window_back: int = DEFAULT_WINDOW_BACK,
-    workers: int = 1,
 ) -> GadgetSet:
     """Collect every gadget of at most ``max_insns`` instructions.
 
     For each free-branch terminator, window starts are tried up to
     ``window_back`` bytes before it; valid windows are deduplicated by byte
     content, keeping all addresses.  Output order is by gadget bytes, so the
-    result is deterministic regardless of section order or worker count.
+    result is deterministic regardless of section order.
     """
     if max_insns < 1:
         raise ValueError("max_insns must be >= 1")
@@ -172,7 +135,7 @@ def enumerate_gadgets(
 
     occurrences: dict[bytes, set[int]] = {}
     for section in image.executable_sections():
-        for start, end in _section_windows(section, max_insns, window_back, workers):
+        for start, end in kernels.scan_gadget_windows(section.data, window_back, max_insns):
             raw = section.data[start:end]
             occurrences.setdefault(raw, set()).add(section.vaddr + start)
 

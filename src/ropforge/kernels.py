@@ -1,273 +1,149 @@
-"""Hot byte-scanning kernels with selectable backends.
+"""Vectorized byte-scanning kernels driven by the decoder's rule table.
 
 Gadget discovery spends essentially all of its time in two inner loops over
 section bytes: finding every offset where a free-branch instruction decodes
 (byte granularity, aligned or not) and validating candidate decode windows
-behind each terminator.  Both exist here twice:
+behind each terminator (the backward-from-``ret`` scan of Shacham, CCS 2007).
 
-* a numba ``@njit`` version compiled over uint8 arrays (default when numba
-  imports), and
-* a fallback that vectorizes the terminator scan with numpy and validates
-  windows through the reference decoder in :mod:`ropforge.disasm`.
-
-``ROPFORGE_KERNEL=numpy`` forces the fallback, ``ROPFORGE_KERNEL=numba``
-demands the JIT (and fails loudly if unavailable); unset picks numba when
-present.  Both backends are contract-identical; the test suite and
-``benchmarks/bench_scan.py`` compare them directly.  The numba kernels
-release the GIL so section chunks can scan on real threads.
+Both run on two per-offset ``uint8`` arrays built once per section from
+:data:`ropforge.disasm.RULES`: the encoded length and the class (normal,
+unknown, or a free-branch kind) of the instruction that decodes at each
+offset.  Rows keyed on the first byte alone become 256-entry lookup tables;
+the rows that also constrain the second byte are applied as masks to the
+offsets whose first byte needs one.  Window validation then walks every candidate start
+at once, one instruction per pass (``pos += length[pos]``), for at most
+``max_insns`` passes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import disasm
-from .disasm import FreeBranchKind
+from .disasm import FreeBranchKind, Mnemonic
 
-ENV_BACKEND = "ROPFORGE_KERNEL"
-
-# Instruction classes used inside the kernels. Free-branch codes equal the
-# FreeBranchKind enum values; the decoder tests pin that correspondence.
-K_UNKNOWN = -1
+# Instruction classes in the per-offset class array. Free-branch codes equal
+# the FreeBranchKind enum values.
 K_NORMAL = 0
-K_RET = int(FreeBranchKind.RET)
-K_RET_IMM16 = int(FreeBranchKind.RET_IMM16)
-K_JMP_INDIRECT = int(FreeBranchKind.JMP_INDIRECT)
-K_CALL_INDIRECT = int(FreeBranchKind.CALL_INDIRECT)
+K_UNKNOWN = 0xFF
+_CLASS_OF = {m: K_NORMAL for m in Mnemonic}
+_CLASS_OF.update({m: int(k) for m, k in disasm.FREE_BRANCH_OF.items()})
+_CLASS_OF[Mnemonic.UNKNOWN] = K_UNKNOWN
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def active_backend() -> str:
-    """Resolve the backend name for this call: 'numba' or 'numpy'."""
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("ROPFORGE_KERNEL=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown {ENV_BACKEND} value {choice!r} (use numba|numpy)")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-@njit(cache=True, nogil=True)
-def _len_class_jit(data, i, n):  # pragma: no cover - measured via outputs
-    b = data[i]
-    if b == 0xC3:
-        return 1, K_RET
-    if b == 0xC9 or b == 0x90:
-        return 1, K_NORMAL
-    if 0x50 <= b <= 0x5F:
-        return 1, K_NORMAL
-    if b == 0xC2:
-        if i + 3 <= n:
-            return 3, K_RET_IMM16
-        return 1, K_UNKNOWN
-    if b == 0xCD:
-        if i + 2 <= n:
-            return 2, K_NORMAL
-        return 1, K_UNKNOWN
-    if b == 0x68:
-        if i + 5 <= n:
-            return 5, K_NORMAL
-        return 1, K_UNKNOWN
-    if 0xB8 <= b <= 0xBF:
-        if i + 5 <= n:
-            return 5, K_NORMAL
-        return 1, K_UNKNOWN
-    if b == 0x89 or b == 0x8B or b == 0x31 or b == 0x33:
-        if i + 2 <= n and data[i + 1] >> 6 == 3:
-            return 2, K_NORMAL
-        return 1, K_UNKNOWN
-    if b == 0xFF:
-        if i + 2 <= n:
-            m = data[i + 1]
-            if 0xD0 <= m <= 0xD7:
-                return 2, K_CALL_INDIRECT
-            if 0xE0 <= m <= 0xE7:
-                return 2, K_JMP_INDIRECT
-        return 1, K_UNKNOWN
-    if b == 0x83:
-        if i + 3 <= n and data[i + 1] == 0xC4:
-            return 3, K_NORMAL
-        return 1, K_UNKNOWN
-    if b == 0x81:
-        if i + 6 <= n and data[i + 1] == 0xC4:
-            return 6, K_NORMAL
-        return 1, K_UNKNOWN
-    return 1, K_UNKNOWN
-
-
-@njit(cache=True, nogil=True)
-def _scan_free_branches_jit(data):  # pragma: no cover
-    n = data.shape[0]
-    offsets = np.empty(n, np.int64)
-    kinds = np.empty(n, np.int64)
-    m = 0
-    for i in range(n):
-        b = data[i]
-        if b == 0xC3:
-            offsets[m] = i
-            kinds[m] = K_RET
-            m += 1
-        elif b == 0xC2 and i + 3 <= n:
-            offsets[m] = i
-            kinds[m] = K_RET_IMM16
-            m += 1
-        elif b == 0xFF and i + 2 <= n:
-            nxt = data[i + 1]
-            if 0xD0 <= nxt <= 0xD7:
-                offsets[m] = i
-                kinds[m] = K_CALL_INDIRECT
-                m += 1
-            elif 0xE0 <= nxt <= 0xE7:
-                offsets[m] = i
-                kinds[m] = K_JMP_INDIRECT
-                m += 1
-    return offsets[:m], kinds[:m]
-
-
-@njit(cache=True, nogil=True)
-def _window_insn_count_jit(data, start, end, max_insns):  # pragma: no cover
-    """Instruction count if [start, end) is a valid gadget body, else 0.
-
-    Valid: greedy decode lands exactly on ``end``, nothing unknown, at most
-    ``max_insns`` instructions, the final instruction is a free branch, and
-    no earlier one is.
-    """
-    n = data.shape[0]
-    i = start
-    count = 0
-    last = K_UNKNOWN
-    while i < end:
-        ln, kl = _len_class_jit(data, i, n)
-        if kl == K_UNKNOWN or i + ln > end:
-            return 0
-        count += 1
-        if count > max_insns:
-            return 0
-        if kl != K_NORMAL and i + ln < end:
-            return 0  # interior free branch: control escapes mid-gadget
-        last = kl
-        i += ln
-    if last == K_UNKNOWN or last == K_NORMAL:
-        return 0
-    return count
-
-
-@njit(cache=True, nogil=True)
-def _scan_window_starts_jit(data, t_offsets, t_kinds, window_back, max_insns):  # pragma: no cover
-    """For each terminator, emit every valid window start.
-
-    Returns parallel arrays (start, end) of the surviving windows.  The
-    terminator at offset t with encoded length L closes the window at t+L;
-    starts range over [t - window_back, t].
-    """
-    cap = (window_back + 1) * t_offsets.shape[0]
-    starts = np.empty(cap, np.int64)
-    ends = np.empty(cap, np.int64)
-    m = 0
-    for j in range(t_offsets.shape[0]):
-        t = t_offsets[j]
-        kind = t_kinds[j]
-        if kind == K_RET:
-            end = t + 1
-        elif kind == K_RET_IMM16:
-            end = t + 3
-        else:
-            end = t + 2
-        lo = t - window_back
-        if lo < 0:
-            lo = 0
-        for s in range(lo, t + 1):
-            if _window_insn_count_jit(data, s, end, max_insns) > 0:
-                starts[m] = s
-                ends[m] = end
-                m += 1
-    return starts[:m], ends[:m]
-
-
-def _scan_free_branches_numpy(data: np.ndarray):
-    n = len(data)
-    parts = []
-    rets = np.flatnonzero(data == 0xC3)
-    parts.append((rets, np.full(len(rets), K_RET, np.int64)))
-    ret_imms = np.flatnonzero(data[: max(n - 2, 0)] == 0xC2)
-    parts.append((ret_imms, np.full(len(ret_imms), K_RET_IMM16, np.int64)))
-    if n >= 2:
-        ff = data[:-1] == 0xFF
-        nxt = data[1:]
-        calls = np.flatnonzero(ff & (nxt >= 0xD0) & (nxt <= 0xD7))
-        jmps = np.flatnonzero(ff & (nxt >= 0xE0) & (nxt <= 0xE7))
-        parts.append((calls, np.full(len(calls), K_CALL_INDIRECT, np.int64)))
-        parts.append((jmps, np.full(len(jmps), K_JMP_INDIRECT, np.int64)))
-    offsets = np.concatenate([p[0] for p in parts]).astype(np.int64)
-    kinds = np.concatenate([p[1] for p in parts])
-    order = np.argsort(offsets, kind="stable")
-    return offsets[order], kinds[order]
-
-
-def _window_insn_count_py(data: bytes, start: int, end: int, max_insns: int) -> int:
-    insns = disasm.decode_window(data, start, end)
-    if insns is None or not insns or len(insns) > max_insns:
-        return 0
-    if any(disasm.free_branch_kind(i) is not None for i in insns[:-1]):
-        return 0
-    if disasm.free_branch_kind(insns[-1]) is None:
-        return 0
-    return len(insns)
-
-
-def _scan_window_starts_py(data: bytes, t_offsets, t_kinds, window_back, max_insns):
-    starts: list[int] = []
-    ends: list[int] = []
-    for t, kind in zip(t_offsets, t_kinds):
-        end = int(t) + disasm.FREE_BRANCH_LENGTH[FreeBranchKind(int(kind))]
-        for s in range(max(0, int(t) - window_back), int(t) + 1):
-            if _window_insn_count_py(data, s, end, max_insns) > 0:
-                starts.append(s)
-                ends.append(end)
-    return np.asarray(starts, np.int64), np.asarray(ends, np.int64)
-
+# Terminators validated per block, which bounds the candidate arrays.
+_BLOCK = 1024
 
 _KIND_OF_CODE = {int(k): k for k in FreeBranchKind}
 
 
+def _first_byte_tables():
+    """256-entry (length, class) tables for the rows keyed on the first byte
+    alone, and a mask of the first bytes whose rows also read the second."""
+    length = np.ones(256, np.uint8)
+    klass = np.full(256, K_UNKNOWN, np.uint8)
+    keyed = np.zeros(256, bool)
+    for rule in disasm.RULES:
+        lo, hi = rule.first
+        if rule.second is None:
+            length[lo : hi + 1] = rule.length
+            klass[lo : hi + 1] = _CLASS_OF[rule.mnemonic]
+        else:
+            keyed[lo : hi + 1] = True
+    return length, klass, keyed
+
+
+_FIRST_LENGTH, _FIRST_CLASS, _KEYED = _first_byte_tables()
+_SECOND_BYTE_RULES = tuple(r for r in disasm.RULES if r.second is not None)
+
+
+def _in_range(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return arr == lo if lo == hi else (arr >= lo) & (arr <= hi)
+
+
+def length_class(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset (length, class) of the instruction decoding there.
+
+    Agrees with :func:`ropforge.disasm.decode_one` at every offset: an offset
+    no rule matches, or whose encoding would run past the end of ``arr``, is
+    ``K_UNKNOWN`` with length 1.
+    """
+    n = len(arr)
+    length = _FIRST_LENGTH[arr]
+    klass = _FIRST_CLASS[arr]
+    at = np.flatnonzero(_KEYED[arr[:-1]])
+    first, second = arr[at], arr[at + 1]
+    for rule in _SECOND_BYTE_RULES:
+        hit = at[_in_range(first, *rule.first) & _in_range(second, *rule.second)]
+        length[hit] = rule.length
+        klass[hit] = _CLASS_OF[rule.mnemonic]
+    tail = np.arange(max(n - disasm.MAX_INSN_LEN + 1, 0), n)
+    cut = tail[tail + length[tail] > n]
+    length[cut] = 1
+    klass[cut] = K_UNKNOWN
+    return length, klass
+
+
+def _free_branch_offsets(klass: np.ndarray) -> np.ndarray:
+    return np.flatnonzero((klass != K_NORMAL) & (klass != K_UNKNOWN)).astype(np.int32)
+
+
 def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if active_backend() == "numba":
-        offsets, kinds = _scan_free_branches_jit(arr)
-    else:
-        offsets, kinds = _scan_free_branches_numpy(arr)
+    _, klass = length_class(np.frombuffer(data, dtype=np.uint8))
+    offsets = _free_branch_offsets(klass)
     kind_of = _KIND_OF_CODE
-    return [(o, kind_of[k]) for o, k in zip(offsets.tolist(), kinds.tolist())]
+    return [(o, kind_of[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
+
+
+def _valid_windows(length, klass, terms, window_back, max_insns):
+    """(start, end) int32 arrays of the valid windows behind ``terms``.
+
+    Valid: greedy decode from ``start`` lands exactly on ``end`` within
+    ``max_insns`` known instructions, the last a free branch and no earlier
+    one.  The terminator at t closes the window at ``t + length[t]``; starts
+    range over [t - window_back, t].
+    """
+    back = np.arange(window_back + 1, dtype=np.int32)
+    start = (terms[:, None] - back).ravel()
+    end = np.repeat(terms + length[terms], window_back + 1)
+    # Starts before the section or on an unknown byte never validate.
+    keep = start >= 0
+    start, end = start[keep], end[keep]
+    keep = klass[start] != K_UNKNOWN
+    start, end = start[keep], end[keep]
+    pos = start
+    found_start, found_end = [], []
+    for _ in range(max_insns):
+        c = klass[pos]
+        nxt = pos + length[pos]
+        landed = (nxt == end) & (c != K_NORMAL) & (c != K_UNKNOWN)
+        found_start.append(start[landed])
+        found_end.append(end[landed])
+        # Unknown, overrunning and interior free-branch instructions all end
+        # the walk unaccepted, as does landing on ``end`` with a normal one.
+        going = (nxt < end) & (c == K_NORMAL)
+        start, end, pos = start[going], end[going], nxt[going]
+        if not len(pos):
+            break
+    return np.concatenate(found_start), np.concatenate(found_end)
 
 
 def scan_gadget_windows(
     data: bytes, window_back: int, max_insns: int
 ) -> list[tuple[int, int]]:
     """All valid gadget windows (start, end) behind every terminator in ``data``."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if active_backend() == "numba":
-        t_off, t_kind = _scan_free_branches_jit(arr)
-        starts, ends = _scan_window_starts_jit(arr, t_off, t_kind, window_back, max_insns)
-    else:
-        t_off, t_kind = _scan_free_branches_numpy(arr)
-        starts, ends = _scan_window_starts_py(data, t_off, t_kind, window_back, max_insns)
-    return sorted({(int(s), int(e)) for s, e in zip(starts, ends)})
+    length, klass = length_class(np.frombuffer(data, dtype=np.uint8))
+    terms = _free_branch_offsets(klass)
+    if not len(terms):
+        return []
+    starts, ends = [], []
+    for lo in range(0, len(terms), _BLOCK):
+        s, e = _valid_windows(length, klass, terms[lo : lo + _BLOCK], window_back, max_insns)
+        starts.append(s)
+        ends.append(e)
+    # ``c2 xx c3`` closes the same window from two terminators: sort the
+    # (start, end) keys and drop adjacent repeats.
+    key = np.concatenate(starts).astype(np.int64) << 32 | np.concatenate(ends)
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return list(zip((key >> 32).tolist(), (key & 0xFFFFFFFF).tolist()))

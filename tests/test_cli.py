@@ -265,3 +265,18 @@ def test_console_script_installed(demo_binary):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_build_and_verify_skip_pop_esp_cleanup(tmp_path):
+    # pop esp ; ret sits below the only usable cleanup, pop eax ; ret
+    text = b"\xcc" * 16 + b"\x5c\xc3" + b"\xcc" * 14 + b"\x58\xc3"
+    binary = tmp_path / "popesp"
+    binary.write_bytes(build_elf([SectionSpec(".text", 0x08048000, text, "ax")]))
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {binary}\nret_offset: 32\n"
+        "call: 0x08048000 0x1234\ncall: 0x08048004\nbad_bytes: none\n"
+    )
+    out_file = tmp_path / "payload.bin"
+    assert main(["build", str(chain), "--out", str(out_file), "--format", "raw"]) == 0
+    assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0

@@ -1,0 +1,81 @@
+"""The decoder's rule table and the vectorized scanner built on it."""
+
+import itertools
+
+import numpy as np
+
+from ropforge import kernels
+from ropforge.disasm import MAX_INSN_LEN, RULES, Mnemonic, decode_one, free_branch_kind
+
+
+def decoded(data: bytes, offset: int) -> tuple[int, int]:
+    """(length, class) at ``offset`` as the reference decoder sees it."""
+    insn = decode_one(data, offset)
+    kind = free_branch_kind(insn)
+    if insn.mnemonic is Mnemonic.UNKNOWN:
+        return insn.length, kernels.K_UNKNOWN
+    return insn.length, kernels.K_NORMAL if kind is None else int(kind)
+
+
+def vectorized(data: bytes) -> list[tuple[int, int]]:
+    length, klass = kernels.length_class(np.frombuffer(data, np.uint8))
+    assert length.dtype == klass.dtype == np.uint8
+    return list(zip(length.tolist(), klass.tolist()))
+
+
+def test_rules_are_disjoint():
+    for a, b in itertools.combinations(RULES, 2):
+        firsts = a.first[0] <= b.first[1] and b.first[0] <= a.first[1]
+        sa, sb = a.second or (0, 255), b.second or (0, 255)
+        seconds = sa[0] <= sb[1] and sb[0] <= sa[1]
+        assert not (firsts and seconds), (a, b)
+
+
+def test_rules_fit_the_longest_encoding():
+    assert max(r.length for r in RULES) == MAX_INSN_LEN
+    assert all(r.second is None or r.length >= 2 for r in RULES)
+
+
+def test_length_class_every_byte_pair():
+    """Every (first, second) pair, with room for the longest encoding."""
+    pairs = np.array(list(itertools.product(range(256), repeat=2)), np.uint8)
+    rows = np.zeros((len(pairs), MAX_INSN_LEN), np.uint8)
+    rows[:, :2] = pairs
+    data = rows.tobytes()
+    got = vectorized(data)
+    for i in range(0, len(data), MAX_INSN_LEN):
+        assert got[i] == decoded(data, i), data[i : i + 2].hex()
+
+
+def test_length_class_every_truncation():
+    """Every first byte cut off by the section end after 1..5 bytes.  Where a
+    rule reads the second byte, that byte takes each edge of every range."""
+    edges = {0x00, 0xFF}
+    for rule in RULES:
+        if rule.second is not None:
+            lo, hi = rule.second
+            edges |= {lo - 1, lo, hi, hi + 1} & set(range(256))
+    for first in range(256):
+        keyed = any(r.second and r.first[0] <= first <= r.first[1] for r in RULES)
+        for second in sorted(edges) if keyed else [0x00]:
+            full = bytes([first, second]) + b"\x00" * (MAX_INSN_LEN - 2)
+            for cut in range(1, MAX_INSN_LEN):
+                data = full[:cut]
+                assert vectorized(data) == [decoded(data, i) for i in range(cut)], data.hex()
+
+
+def test_length_class_empty():
+    assert vectorized(b"") == []
+
+
+def test_ret_imm16_over_ret_closes_one_window():
+    # c2 xx c3 is one window reached from two terminators
+    assert kernels.scan_gadget_windows(b"\xc2\x08\xc3", 20, 5) == [(0, 3), (2, 3)]
+
+
+def test_windows_past_a_block_of_terminators():
+    # more terminators than one validation block
+    data = b"\x58\xc3" * (kernels._BLOCK + 7)
+    pop_rets = [(s, s + 2) for s in range(0, len(data), 2)]
+    rets = [(s, s + 1) for s in range(1, len(data), 2)]
+    assert kernels.scan_gadget_windows(data, 20, 5) == sorted(pop_rets + rets)
