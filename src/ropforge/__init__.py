@@ -2,8 +2,8 @@
 simulator-backed payload verification for 32-bit little-endian ELF binaries.
 
 Workflow: load a binary (:func:`load_image`), recover the overflow offset
-(:func:`stack_frame_displacement`), enumerate gadgets
-(:func:`enumerate_gadgets`), plan and emit a payload (:func:`plan_chain`,
+(:func:`stack_frame_displacement`), list gadgets (:func:`enumerate_gadgets`),
+plan a chain against the image and emit its payload (:func:`plan_chain`,
 :func:`emit_payload`), and replay it in the stack simulator
 (:func:`simulate`).  The ``ropforge`` CLI fronts the same steps.
 """
@@ -49,7 +49,6 @@ from .gadgets import (
     classify,
     enumerate_gadgets,
     find_pop_ret,
-    find_terminators,
 )
 from .image import (
     BinaryImage,
@@ -116,7 +115,6 @@ __all__ = [
     "emit_payload",
     "enumerate_gadgets",
     "find_pop_ret",
-    "find_terminators",
     "free_branch_kind",
     "load_image",
     "lookup_symbol",

@@ -17,7 +17,8 @@ import struct
 from dataclasses import dataclass
 
 from .errors import MissingCleanupGadgetError, UnsatisfiableArityError
-from .gadgets import GadgetSet
+from .gadgets import find_pop_ret
+from .image import BinaryImage
 
 WORD_SIZE = 4
 MAX_CALL_ARITY = 6
@@ -59,15 +60,12 @@ class ChainSpec:
     ret_offset: int
     final_target: int = EXIT_SENTINEL
     bad_bytes: frozenset[int] = frozenset()
-    word_size: int = WORD_SIZE
 
     def __post_init__(self):
         if not self.calls:
             raise ValueError("a chain needs at least one call")
         if self.ret_offset < 0:
             raise ValueError("ret_offset must be >= 0")
-        if self.word_size != WORD_SIZE:
-            raise ValueError("only 4-byte words are supported")
 
 
 @dataclass(frozen=True)
@@ -109,25 +107,21 @@ class Payload:
         raise IndexError(f"offset {offset} not covered by any annotation")
 
 
-def plan_chain(
-    spec: ChainSpec,
-    gadgets: GadgetSet | None = None,
-    max_arity: int = MAX_CALL_ARITY,
-) -> StackLayout:
+def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout:
     """Lay out the stack words realizing ``spec``.
 
     Words are emitted in stack order starting at the overwritten return
     address slot, each successive word at the next higher address.  Non-final
-    calls with arguments get a pop-ret cleanup gadget drawn from ``gadgets``;
-    raises :class:`MissingCleanupGadgetError` when none of the right arity
-    exists and :class:`UnsatisfiableArityError` past ``max_arity``.
+    calls with arguments get the cleanup gadget ``find_pop_ret`` finds in
+    ``image``; raises :class:`MissingCleanupGadgetError` when there is none
+    (or no image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
     """
     words: list[LayoutWord] = []
     last = len(spec.calls) - 1
     for i, call in enumerate(spec.calls):
-        if call.arity > max_arity:
+        if call.arity > MAX_CALL_ARITY:
             raise UnsatisfiableArityError(
-                f"call {i} passes {call.arity} arguments (max {max_arity})"
+                f"call {i} passes {call.arity} arguments (max {MAX_CALL_ARITY})"
             )
         words.append(LayoutWord(call.target, Role.FUNC_ADDR))
         if i == last:
@@ -136,7 +130,7 @@ def plan_chain(
         elif call.arity == 0:
             continue  # the next call's target doubles as the return address
         else:
-            gadget = gadgets.find_pop_ret(call.arity) if gadgets is not None else None
+            gadget = find_pop_ret(image, call.arity) if image is not None else None
             if gadget is None:
                 raise MissingCleanupGadgetError(
                     f"call {i} passes {call.arity} argument(s) mid-chain but no "

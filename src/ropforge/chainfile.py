@@ -38,6 +38,9 @@ from .sim import StubTable
 
 OUTPUT_FORMATS = ("raw", "hex", "escaped")
 
+# 16 MiB, twice the usual 8 MiB default stack limit: no overflow reaches past it.
+MAX_RET_OFFSET = 1 << 24
+
 _SINGLE_KEYS = ("binary", "ret_offset", "final", "bad_bytes", "pad_byte", "format")
 
 
@@ -143,21 +146,28 @@ def _resolve_address(image: BinaryImage, token: str, what: str) -> int:
     if token.startswith("&"):
         return lookup_symbol(image, token[1:]).vaddr
     if token[:1].isdigit() or token.startswith("-"):
-        return _parse_int(token, what) & 0xFFFFFFFF
+        value = _parse_int(token, what)
+        # Negative words keep their two's-complement meaning.
+        if not -(1 << 31) <= value < 1 << 32:
+            raise ChainFileError(f"{what}: {token} does not fit in a 32-bit word")
+        return value & 0xFFFFFFFF
     return lookup_symbol(image, token).vaddr
 
 
 def _resolve_ret_offset(cf: ChainFile, image: BinaryImage) -> int:
     tokens = cf.ret_offset.split()
     if tokens[0] != "auto":
-        return _parse_int(cf.ret_offset, "ret_offset")
-    if len(tokens) != 2:
+        offset = _parse_int(cf.ret_offset, "ret_offset")
+    elif len(tokens) != 2:
         raise ChainFileError(
             "ret_offset: 'auto' needs the vulnerable function's name, "
             "e.g. 'ret_offset: auto echo'"
         )
-    function = lookup_symbol(image, tokens[1])
-    return stack_frame_displacement(image, function) + 4  # + saved frame pointer
+    else:  # frame displacement + the saved frame pointer
+        offset = stack_frame_displacement(image, lookup_symbol(image, tokens[1])) + 4
+    if offset > MAX_RET_OFFSET:
+        raise ChainFileError(f"ret_offset: {offset} exceeds {MAX_RET_OFFSET} bytes")
+    return offset
 
 
 def resolve(cf: ChainFile, image: BinaryImage) -> ResolvedChain:

@@ -118,16 +118,8 @@ def cmd_gadgets(args) -> int:
     return EXIT_OK
 
 
-def _chain_needs_gadgets(spec) -> bool:
-    return any(c.arity > 0 for c in spec.calls[:-1])
-
-
 def _build_payload(resolved, image) -> Payload:
-    gadgets = None
-    if _chain_needs_gadgets(resolved.spec):
-        gadgets = enumerate_gadgets(image)
-    layout = plan_chain(resolved.spec, gadgets)
-    return emit_payload(layout, pad_byte=resolved.pad_byte)
+    return emit_payload(plan_chain(resolved.spec, image), pad_byte=resolved.pad_byte)
 
 
 def _format_payload(payload: Payload, fmt: str) -> bytes:

@@ -3,16 +3,19 @@
 A gadget is an instruction sequence ending in a free branch, discovered at
 every byte offset (aligned with intended instructions or not).  Scanning runs
 through :mod:`ropforge.kernels`; this module owns the object model, the
-dedup-by-bytes set, and the classifier the chain planner consumes.
+dedup-by-bytes set, the classifier, and the byte search for the cleanup
+gadget the chain planner asks for.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import kernels
 from .disasm import (
     REG_NAMES,
+    RULES,
     FreeBranchKind,
     Instruction,
     Mnemonic,
@@ -20,11 +23,18 @@ from .disasm import (
     format_instruction,
     free_branch_kind,
 )
-from .image import BinaryImage, Section
+from .image import BinaryImage
 
 DEFAULT_MAX_INSNS = 5
 DEFAULT_WINDOW_BACK = 20
-ESP = REG_NAMES.index("esp")
+
+# pop esp loads the stack pointer from the chain: a pop run that pops it is no cleanup.
+CLEANUP_POP_REGS = frozenset(range(len(REG_NAMES))) - {REG_NAMES.index("esp")}
+
+# A cleanup run's bytes, read off the rule table: pop reg encodes as the row's first byte + reg.
+_POP_FIRST = next(r.first[0] for r in RULES if r.mnemonic is Mnemonic.POP_REG)
+_RET_FIRST = next(r.first[0] for r in RULES if r.mnemonic is Mnemonic.RET)
+_CLEANUP_POP_BYTES = bytes(_POP_FIRST + r for r in sorted(CLEANUP_POP_REGS))
 
 
 @dataclass(frozen=True)
@@ -80,21 +90,11 @@ class GadgetSet:
         flat.sort(key=lambda pair: pair[0])
         return flat
 
-    def find_pop_ret(self, arity: int) -> Gadget | None:
-        """Lowest-address pop-ret gadget with exactly ``arity`` pops."""
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        best: GadgetEntry | None = None
-        for e in self.entries:
-            if e.gclass.kind == "pop_ret" and e.gclass.arity == arity:
-                if best is None or e.addrs[0] < best.addrs[0]:
-                    best = e
-        return best.gadget if best else None
 
-
-def find_terminators(section: Section) -> list[tuple[int, FreeBranchKind]]:
-    """Every byte offset in the section where a free branch decodes."""
-    return kernels.scan_free_branches(section.data)
+def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
+    insns = decode_window(raw, 0, len(raw), base_vaddr=vaddr)
+    assert insns, "a gadget window the decoder rejects"
+    return Gadget(vaddr=vaddr, insns=tuple(insns), terminator=free_branch_kind(insns[-1]), data=raw)
 
 
 def classify(g: Gadget) -> GadgetClass:
@@ -104,16 +104,26 @@ def classify(g: Gadget) -> GadgetClass:
             return GadgetClass("ret_only")
         if all(i.mnemonic is Mnemonic.POP_REG for i in body):
             regs = tuple(i.operands[0] for i in body)
-            # pop esp loads the stack pointer from the chain: not a cleanup.
-            if ESP not in regs:
+            if CLEANUP_POP_REGS.issuperset(regs):
                 return GadgetClass("pop_ret", arity=len(body), regs=regs)
         if len(body) == 1 and body[0].mnemonic in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
             return GadgetClass("stack_pivot", delta=body[0].operands[0])
     return GadgetClass("other")
 
 
-def find_pop_ret(gset: GadgetSet, arity: int) -> Gadget | None:
-    return gset.find_pop_ret(arity)
+def find_pop_ret(image: BinaryImage, arity: int) -> Gadget | None:
+    """Lowest-address ``pop^arity ; ret`` that pops no esp, found by a byte
+    search of every executable section (no enumeration limit applies)."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    pops, ret = re.escape(_CLEANUP_POP_BYTES), re.escape(bytes([_RET_FIRST]))
+    # search tries every start offset, so a run inside a longer one is found.
+    run = re.compile(b"[%s]{%d}%s" % (pops, arity, ret))
+    found = []
+    for section in image.executable_sections():
+        if m := run.search(section.data):
+            found.append((section.vaddr + m.start(), m.group()))
+    return _decode_gadget(*min(found)) if found else None
 
 
 def enumerate_gadgets(
@@ -142,13 +152,6 @@ def enumerate_gadgets(
     entries = []
     for raw in sorted(occurrences):
         addrs = tuple(sorted(occurrences[raw]))
-        insns = decode_window(raw, 0, len(raw), base_vaddr=addrs[0])
-        assert insns, "kernel accepted a window the decoder rejects"
-        gadget = Gadget(
-            vaddr=addrs[0],
-            insns=tuple(insns),
-            terminator=free_branch_kind(insns[-1]),
-            data=raw,
-        )
+        gadget = _decode_gadget(addrs[0], raw)
         entries.append(GadgetEntry(gadget=gadget, addrs=addrs, gclass=classify(gadget)))
     return GadgetSet(entries=tuple(entries))

@@ -39,11 +39,6 @@ from ropforge.sim import StubTable, TerminationKind, simulate
 
 
 @pytest.fixture(scope="module")
-def gadget_set(demo_image):
-    return enumerate_gadgets(demo_image)
-
-
-@pytest.fixture(scope="module")
 def stubs():
     table = StubTable()
     table.add(ADDR_SECRET_PARM, "SecretFunctionWithParm", 1)
@@ -149,14 +144,14 @@ def _random_spec(rng) -> ChainSpec:
     return ChainSpec(calls=tuple(calls), ret_offset=32, final_target=EXIT_SENTINEL)
 
 
-def test_criterion_07_planner_simulator_round_trip(demo_image, gadget_set, stubs):
+def test_criterion_07_planner_simulator_round_trip(demo_image, stubs):
     """100 randomized chains (1-5 calls, arities 0-3) all replay to exactly
     the declared calls and the exit sentinel; zero failures."""
     rng = random.Random(0xC4A1)
     failures = 0
     for _ in range(100):
         spec = _random_spec(rng)
-        payload = emit_payload(plan_chain(spec, gadget_set))
+        payload = emit_payload(plan_chain(spec, demo_image))
         trace = simulate(demo_image, stubs, payload, spec.ret_offset)
         ok = (
             trace.termination.kind is TerminationKind.EXIT_SENTINEL
@@ -167,12 +162,12 @@ def test_criterion_07_planner_simulator_round_trip(demo_image, gadget_set, stubs
     assert failures == 0
 
 
-def test_criterion_08_negative_control(demo_binary, demo_image, gadget_set, tmp_path, capsys):
+def test_criterion_08_negative_control(demo_binary, demo_image, tmp_path, capsys):
     """Dropping the cleanup gadget from a two-call arity-1 chain makes
     verification fail deterministically with a divergent trace (exit 6)."""
     calls = (CallStep(ADDR_SECRET_PARM, (0x11223344,)), CallStep(ADDR_SECRET_NOPARM))
     spec = ChainSpec(calls=calls, ret_offset=32, final_target=EXIT_SENTINEL)
-    layout = plan_chain(spec, gadget_set)
+    layout = plan_chain(spec, demo_image)
     assert any(w.role is Role.CLEANUP_GADGET for w in layout.words)
     broken = StackLayout(
         pad_len=layout.pad_len,
@@ -205,13 +200,13 @@ def test_criterion_09_decoder_oracle_agreement():
     assert mismatches == []
 
 
-def test_criterion_10_serialization_round_trip(gadget_set):
+def test_criterion_10_serialization_round_trip(demo_image):
     """Word regions of generated payloads deserialize little-endian back to
     the planned word lists, exactly."""
     rng = random.Random(0x10AD)
     for _ in range(50):
         spec = _random_spec(rng)
-        layout = plan_chain(spec, gadget_set)
+        layout = plan_chain(spec, demo_image)
         payload = emit_payload(layout)
         expected = [v & 0xFFFFFFFF for v in layout.values()]
         assert unpack_words(payload, spec.ret_offset) == expected

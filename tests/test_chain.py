@@ -16,12 +16,7 @@ from ropforge.chain import (
     unpack_words,
 )
 from ropforge.errors import MissingCleanupGadgetError, UnsatisfiableArityError
-from ropforge.gadgets import enumerate_gadgets
-
-
-@pytest.fixture(scope="module")
-def gadget_set(demo_image):
-    return enumerate_gadgets(demo_image)
+from ropforge.gadgets import find_pop_ret
 
 
 def spec(calls, ret_offset=32, final=0x41414141, **kw):
@@ -41,10 +36,10 @@ def test_three_fold_iteration():
     assert layout.values() == [0x0804848B, 0x0804848B, 0x0804848B, 0xDEADC0DE]
 
 
-def test_mid_chain_argument_needs_cleanup(gadget_set):
+def test_mid_chain_argument_needs_cleanup(demo_image):
     calls = [CallStep(0x080484A4, (0x0804A030,)), CallStep(0x0804848B)]
-    layout = plan_chain(spec(calls, final=0xDEADC0DE), gadget_set)
-    cleanup = gadget_set.find_pop_ret(1).vaddr
+    layout = plan_chain(spec(calls, final=0xDEADC0DE), demo_image)
+    cleanup = find_pop_ret(demo_image, 1).vaddr
     assert layout.values() == [0x080484A4, cleanup, 0x0804A030, 0x0804848B, 0xDEADC0DE]
     assert [w.role for w in layout.words] == [
         Role.FUNC_ADDR,
@@ -63,13 +58,13 @@ def test_final_call_args_follow_final_target():
 def test_missing_cleanup_gadget():
     calls = [CallStep(0x080484A4, (1,)), CallStep(0x0804848B)]
     with pytest.raises(MissingCleanupGadgetError):
-        plan_chain(spec(calls), gadgets=None)
+        plan_chain(spec(calls), image=None)
 
 
-def test_missing_cleanup_gadget_arity_not_present(gadget_set):
+def test_missing_cleanup_gadget_arity_not_present(demo_image):
     calls = [CallStep(0x080484A4, (1, 2, 3, 4)), CallStep(0x0804848B)]
     with pytest.raises(MissingCleanupGadgetError):
-        plan_chain(spec(calls), gadget_set)
+        plan_chain(spec(calls), demo_image)
 
 
 def test_unsatisfiable_arity():

@@ -280,3 +280,58 @@ def test_build_and_verify_skip_pop_esp_cleanup(tmp_path):
     out_file = tmp_path / "payload.bin"
     assert main(["build", str(chain), "--out", str(out_file), "--format", "raw"]) == 0
     assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0
+
+
+def test_build_and_verify_arity_5_and_6_cleanup(tmp_path):
+    # pop^5 ; ret and pop^6 ; ret are 6 and 7 instructions long, past the
+    # default --max-insns of the gadget listing
+    pop5, pop6 = b"\x58\x59\x5a\x5b\x5d\xc3", b"\x58\x59\x5a\x5b\x5d\x5e\xc3"
+    text = b"\xcc" * 16 + pop5 + b"\xcc" * 10 + pop6
+    binary = tmp_path / "longpops"
+    binary.write_bytes(build_elf([SectionSpec(".text", 0x08048000, text, "ax")]))
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {binary}\nret_offset: 32\nbad_bytes: none\n"
+        "call: 0x08048000 1 2 3 4 5\ncall: 0x08048004 1 2 3 4 5 6\ncall: 0x08048008\n"
+    )
+    out_file = tmp_path / "payload.bin"
+    assert main(["build", str(chain), "--out", str(out_file), "--format", "raw"]) == 0
+    words = [w for (w,) in struct.iter_unpack("<I", out_file.read_bytes()[32:])]
+    assert words == [
+        0x08048000, 0x08048010, 1, 2, 3, 4, 5,
+        0x08048004, 0x08048020, 1, 2, 3, 4, 5, 6,
+        0x08048008, 0xDEADC0DE,
+    ]
+    assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0
+
+
+def test_build_rejects_ret_offset_past_16_mib(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    for offset in (1152921504606846976, (1 << 24) + 1):
+        chain.write_text(
+            f"binary: {demo_binary}\nret_offset: {offset}\ncall: SecretFunctionWithoutParm\n"
+        )
+        assert main(["build", str(chain), "--format", "raw", "--out", str(tmp_path / "p")]) == 2
+        assert "ret_offset" in capsys.readouterr().err
+
+
+def test_verify_rejects_words_outside_32_bits(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    for line in (
+        "call: 0x1ffffffff",
+        "call: SecretFunctionWithParm 0x100000000",
+        f"call: SecretFunctionWithParm {-(1 << 31) - 1}",
+        "call: SecretFunctionWithoutParm\nfinal: 0x100000000",
+    ):
+        chain.write_text(f"binary: {demo_binary}\nret_offset: auto echo\n{line}\n")
+        assert main(["verify", str(demo_binary), str(chain)]) == 2
+        assert "32-bit word" in capsys.readouterr().err
+    # the extremes of the range still resolve; a negative word is two's complement
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: auto echo\n"
+        f"call: SecretFunctionWithParm {-(1 << 31)}\ncall: SecretFunctionWithParm -1\n"
+    )
+    assert main(["verify", str(demo_binary), str(chain)]) == 0
+    out = capsys.readouterr().out
+    assert "SecretFunctionWithParm(0x80000000)" in out
+    assert "SecretFunctionWithParm(0xffffffff)" in out

@@ -1,4 +1,5 @@
-"""Gadget finder tests: kernels, enumeration vs brute force, classification."""
+"""Gadget finder tests: kernels, enumeration vs brute force, classification,
+and the cleanup-gadget byte search against the enumeration."""
 
 import random
 
@@ -7,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET
-from ropforge.disasm import FreeBranchKind
+from ropforge.disasm import FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
-from ropforge.gadgets import classify, enumerate_gadgets, find_pop_ret, find_terminators
-from ropforge.image import Section, load_image
-
-
-def section(data: bytes, vaddr: int = 0x08048000) -> Section:
-    return Section(name=".text", vaddr=vaddr, data=data, executable=True)
+from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
+from ropforge.image import load_image
+from ropforge.kernels import scan_free_branches
 
 
 def image_of(data: bytes, vaddr: int = 0x08048000):
@@ -28,19 +26,19 @@ def backend(request):
 
 
 def test_find_terminators_direct(backend):
-    assert find_terminators(section(b"\x90\xc3")) == [(1, FreeBranchKind.RET)]
-    assert find_terminators(section(b"\x90" * 8)) == []
+    assert scan_free_branches(b"\x90\xc3") == [(1, FreeBranchKind.RET)]
+    assert scan_free_branches(b"\x90" * 8) == []
 
 
 def test_find_terminators_unaligned(backend):
     # ret hidden inside the imm32 of add eax, 0xc3
-    hits = find_terminators(section(b"\x05\xc3\x00\x00\x00"))
+    hits = scan_free_branches(b"\x05\xc3\x00\x00\x00")
     assert (1, FreeBranchKind.RET) in hits
 
 
 def test_find_terminators_all_kinds(backend):
     data = b"\xc3" + b"\xc2\x08\x00" + b"\xff\xe0" + b"\xff\xd3"
-    assert find_terminators(section(data)) == [
+    assert scan_free_branches(data) == [
         (0, FreeBranchKind.RET),
         (1, FreeBranchKind.RET_IMM16),
         (4, FreeBranchKind.JMP_INDIRECT),
@@ -49,8 +47,8 @@ def test_find_terminators_all_kinds(backend):
 
 
 def test_terminator_needs_full_encoding(backend):
-    assert find_terminators(section(b"\xc2\x08")) == []  # imm16 cut off
-    assert find_terminators(section(b"\xff")) == []
+    assert scan_free_branches(b"\xc2\x08") == []  # imm16 cut off
+    assert scan_free_branches(b"\xff") == []
 
 
 def test_enumerate_pop_pop_ret(backend):
@@ -111,18 +109,17 @@ def test_find_pop_ret_lowest_address(backend, demo_image):
     gset = enumerate_gadgets(demo_image)
     # the lowest arity-1 candidate is the epilogue "pop ebp ; ret" of the
     # first secret function, below the dedicated gadget zone
-    assert find_pop_ret(gset, 1).vaddr == 0x0804848F
-    assert find_pop_ret(gset, 1).render() == "pop ebp ; ret"
+    assert find_pop_ret(demo_image, 1).vaddr == 0x0804848F
+    assert find_pop_ret(demo_image, 1).render() == "pop ebp ; ret"
     two = next(e for e in gset if e.gclass.kind == "pop_ret" and e.gclass.arity == 2)
     assert two.addrs == (ADDR_POP2, ADDR_POP2_DUP)
-    assert find_pop_ret(gset, 2).vaddr == ADDR_POP2
-    assert find_pop_ret(gset, 3).vaddr == ADDR_POP3
-    assert find_pop_ret(gset, 4) is None
+    assert find_pop_ret(demo_image, 2).vaddr == ADDR_POP2
+    assert find_pop_ret(demo_image, 3).vaddr == ADDR_POP3
+    assert find_pop_ret(demo_image, 4) is None
 
 
 def test_find_pop_ret_on_tiny_fixture(backend):
-    gset = enumerate_gadgets(image_of(b"\x58\x5b\xc3", vaddr=0x08048000))
-    g = find_pop_ret(gset, 1)
+    g = find_pop_ret(image_of(b"\x58\x5b\xc3", vaddr=0x08048000), 1)
     assert g is not None
     assert g.render() == "pop ebx ; ret"
     assert g.vaddr == 0x08048001
@@ -159,13 +156,85 @@ def test_pop_esp_is_not_a_cleanup_gadget():
     # pop esp ; ret sits below pop eax ; ret; pop eax ; pop esp ; ret follows
     base = 0x08048000
     text = b"\x90\x5c\xc3" + b"\x90" * 13 + b"\x58\xc3" + b"\x90\x58\x5c\xc3"
-    gset = enumerate_gadgets(image_of(text, base))
-    by_bytes = {e.gadget.data: e for e in gset}
+    img = image_of(text, base)
+    by_bytes = {e.gadget.data: e for e in enumerate_gadgets(img)}
     assert by_bytes[b"\x5c\xc3"].gclass.kind == "other"
     assert by_bytes[b"\x58\x5c\xc3"].gclass.kind == "other"
-    g = find_pop_ret(gset, 1)
+    g = find_pop_ret(img, 1)
     assert (g.vaddr, g.render()) == (base + 16, "pop eax ; ret")
-    assert find_pop_ret(gset, 2) is None
+    assert find_pop_ret(img, 2) is None
+
+
+# Text of up to a dozen chunks: arbitrary bytes, pop runs over all eight
+# registers (pop esp included), pure pop-esp runs and bare rets.
+_pop_heavy_text = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=3),
+        st.lists(st.integers(0x58, 0x5F), min_size=1, max_size=7).map(bytes),
+        st.integers(1, 4).map(lambda n: b"\x5c" * n),
+        st.just(b"\xc3"),
+    ),
+    min_size=1,
+    max_size=12,
+).map(b"".join)
+
+
+@st.composite
+def pop_heavy_images(draw):
+    """One or two executable sections, the higher one sometimes listed first."""
+    specs = [SectionSpec(".text", 0x08048000, draw(_pop_heavy_text), "ax")]
+    if draw(st.booleans()):
+        specs.append(SectionSpec(".text2", 0x08049000, draw(_pop_heavy_text), "ax"))
+        if draw(st.booleans()):
+            specs.reverse()
+    return load_image(build_elf(specs))
+
+
+def _found(g):
+    return None if g is None else (g.vaddr, g.data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pop_heavy_images())
+def test_find_pop_ret_matches_enumeration(img):
+    # the enumeration is the reference: every pop^k ; ret with k <= 4 fits
+    # the default window and instruction limits
+    entries = list(enumerate_gadgets(img))
+    for k in range(1, 5):
+        hits = [
+            (e.addrs[0], e.gadget.data)
+            for e in entries
+            if classify(e.gadget).render() == f"pop_ret({k})"
+        ]
+        assert _found(find_pop_ret(img, k)) == min(hits, default=None)
+
+
+def _brute_force_pop_ret(img, k):
+    """Lowest window of any section that decodes and classifies as pop_ret(k)."""
+    hits = []
+    for s in img.executable_sections():
+        for start in range(len(s.data)):
+            for end in range(start + 1, len(s.data) + 1):
+                insns = decode_window(s.data, start, end, base_vaddr=s.vaddr)
+                if insns is None:
+                    continue
+                g = Gadget(s.vaddr + start, tuple(insns), None, s.data[start:end])
+                if classify(g).render() == f"pop_ret({k})":
+                    hits.append((g.vaddr, g.data))
+    return min(hits, default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pop_heavy_images())
+def test_find_pop_ret_long_runs_match_brute_force(img):
+    # arities 5 and 6 lie past the default enumeration limit of 5 insns
+    for k in (5, 6):
+        assert _found(find_pop_ret(img, k)) == _brute_force_pop_ret(img, k)
+
+
+def test_find_pop_ret_rejects_zero_arity(demo_image):
+    with pytest.raises(ValueError):
+        find_pop_ret(demo_image, 0)
 
 
 def test_gadget_invariants(demo_image):

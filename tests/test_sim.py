@@ -17,7 +17,7 @@ from ropforge.chain import (
     emit_payload,
     plan_chain,
 )
-from ropforge.gadgets import enumerate_gadgets
+from ropforge.gadgets import find_pop_ret
 from ropforge.sim import (
     CallEvent,
     FaultKind,
@@ -34,14 +34,9 @@ from ropforge.sim import (
 CFG = SimConfig()
 
 
-@pytest.fixture(scope="module")
-def gadget_set(demo_image):
-    return enumerate_gadgets(demo_image)
-
-
-def build_payload(calls, gadgets=None, ret_offset=32, final=EXIT_SENTINEL):
+def build_payload(calls, image=None, ret_offset=32, final=EXIT_SENTINEL):
     spec = ChainSpec(calls=tuple(calls), ret_offset=ret_offset, final_target=final)
-    return emit_payload(plan_chain(spec, gadgets))
+    return emit_payload(plan_chain(spec, image))
 
 
 def stub_table():
@@ -92,9 +87,9 @@ def test_unmapped_first_word_faults(demo_image):
     assert trace.termination.fault is FaultKind.UNMAPPED_FETCH
 
 
-def test_cleanup_gadget_required_for_mid_chain_args(demo_image, gadget_set):
+def test_cleanup_gadget_required_for_mid_chain_args(demo_image):
     calls = [CallStep(STUB_BY_ARITY[1], (0x1234,)), CallStep(STUB_BY_ARITY[0])]
-    good = build_payload(calls, gadget_set)
+    good = build_payload(calls, demo_image)
     trace = simulate(demo_image, stub_table(), good, 32)
     assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
     assert [(e.vaddr, e.args) for e in trace.events] == [
@@ -104,7 +99,7 @@ def test_cleanup_gadget_required_for_mid_chain_args(demo_image, gadget_set):
 
     # surgically drop the cleanup word: the second call never happens right
     layout = plan_chain(
-        ChainSpec(calls=tuple(calls), ret_offset=32, final_target=EXIT_SENTINEL), gadget_set
+        ChainSpec(calls=tuple(calls), ret_offset=32, final_target=EXIT_SENTINEL), demo_image
     )
     from ropforge.chain import Role, StackLayout
 
@@ -131,10 +126,10 @@ def test_stub_ret_rule(demo_image):
     assert state.read32(arg_addr) == arg_before == 0x11111111
 
 
-def test_pop_ret_gadget_semantics(demo_image, gadget_set):
+def test_pop_ret_gadget_semantics(demo_image):
     # executing pop_ret(k) advances esp by 4(k+1) and lands on [esp + 4k]
     for arity in (1, 2, 3):
-        gadget = gadget_set.find_pop_ret(arity)
+        gadget = find_pop_ret(demo_image, arity)
         state = boot_state(demo_image, b"Z" * 64, 0)
         state.ip = gadget.vaddr
         base_esp = state.esp
@@ -209,9 +204,9 @@ def test_unsupported_instruction(demo_image):
     assert trace.termination.vaddr == 0x08048400
 
 
-def test_deterministic(demo_image, gadget_set):
+def test_deterministic(demo_image):
     calls = [CallStep(STUB_BY_ARITY[2], (5, 6)), CallStep(STUB_BY_ARITY[0])]
-    payload = build_payload(calls, gadget_set)
+    payload = build_payload(calls, demo_image)
     first = simulate(demo_image, stub_table(), payload, 32)
     second = simulate(demo_image, stub_table(), payload, 32)
     assert first == second
@@ -249,11 +244,10 @@ def test_payload_too_short(demo_image):
 
 @settings(max_examples=40, deadline=None)
 @given(st.binary(min_size=36, max_size=200))
-def test_budget_safety_arbitrary_payloads(demo_env, blob):
+def test_budget_safety_arbitrary_payloads(demo_image, blob):
     """Whatever bytes land on the stack, simulation terminates within budget."""
-    image, _ = demo_env
     cfg = SimConfig(step_budget=300)
-    trace = simulate(image, stub_table(), blob, 32, cfg)
+    trace = simulate(demo_image, stub_table(), blob, 32, cfg)
     assert trace.termination is not None
     assert len(trace.events) <= cfg.step_budget
 
@@ -266,21 +260,16 @@ def test_budget_safety_arbitrary_payloads(demo_env, blob):
         max_size=5,
     )
 )
-def test_plan_simulate_round_trip(demo_env, call_shapes):
+def test_plan_simulate_round_trip(demo_image, call_shapes):
     """Core property: whatever plan_chain accepts, the simulator replays as
     exactly the declared calls, ending at the sentinel."""
-    image, gadgets = demo_env
     calls = tuple(
         CallStep(STUB_BY_ARITY[arity], tuple(args[:arity] + [0] * (arity - len(args))))
         for arity, args in call_shapes
     )
     spec = ChainSpec(calls=calls, ret_offset=32, final_target=EXIT_SENTINEL)
-    payload = emit_payload(plan_chain(spec, gadgets))
-    trace = simulate(image, stub_table(), payload, 32)
+    payload = emit_payload(plan_chain(spec, demo_image))
+    trace = simulate(demo_image, stub_table(), payload, 32)
     assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
     assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
 
-
-@pytest.fixture(scope="session")
-def demo_env(demo_image):
-    return demo_image, enumerate_gadgets(demo_image)
