@@ -45,7 +45,6 @@ from .errors import (
 from .gadgets import (
     Gadget,
     GadgetClass,
-    GadgetSet,
     classify,
     enumerate_gadgets,
     find_pop_ret,
@@ -85,7 +84,6 @@ __all__ = [
     "FreeBranchKind",
     "Gadget",
     "GadgetClass",
-    "GadgetSet",
     "Instruction",
     "LengthTooLargeError",
     "MissingCleanupGadgetError",

@@ -113,8 +113,9 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
     Words are emitted in stack order starting at the overwritten return
     address slot, each successive word at the next higher address.  Non-final
     calls with arguments get the cleanup gadget ``find_pop_ret`` finds in
-    ``image``; raises :class:`MissingCleanupGadgetError` when there is none
-    (or no image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
+    ``image``, at an address free of ``spec.bad_bytes`` where one exists;
+    raises :class:`MissingCleanupGadgetError` when there is none (or no
+    image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
     """
     words: list[LayoutWord] = []
     last = len(spec.calls) - 1
@@ -130,7 +131,9 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
         elif call.arity == 0:
             continue  # the next call's target doubles as the return address
         else:
-            gadget = find_pop_ret(image, call.arity) if image is not None else None
+            gadget = (
+                find_pop_ret(image, call.arity, spec.bad_bytes) if image is not None else None
+            )
             if gadget is None:
                 raise MissingCleanupGadgetError(
                     f"call {i} passes {call.arity} argument(s) mid-chain but no "

@@ -15,6 +15,7 @@ Set ROPFORGE_COLOR=0 to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,10 +54,8 @@ def _color_enabled() -> bool:
     return sys.stdout.isatty()
 
 
-def _style(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+def _style(text: str, code: str, color: bool) -> str:
+    return f"\x1b[{code}m{text}\x1b[0m" if color else text
 
 
 def _load(path: str):
@@ -80,41 +79,32 @@ def cmd_offset(args) -> int:
     return EXIT_OK
 
 
-def _class_filter(entry, wanted: str | None, arity: int | None) -> bool:
-    if wanted is not None and entry.gclass.kind != wanted:
-        return False
-    if arity is not None and entry.gclass.arity != arity:
-        return False
-    return True
-
-
 def cmd_gadgets(args) -> int:
     image = _load(args.binary)
-    gset = enumerate_gadgets(
-        image,
-        max_insns=args.max_insns,
-        window_back=args.window_back,
-    )
-    shown = 0
-    for addr, entry in gset.by_address():
-        if not _class_filter(entry, args.gadget_class, args.arity):
+    entries = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
+    color = _color_enabled()
+    rows = []
+    for entry in entries:
+        if args.gadget_class is not None and entry.gclass.kind != args.gadget_class:
             continue
-        shown += 1
+        if args.arity is not None and entry.gclass.arity != args.arity:
+            continue
+        gadget = entry.gadget
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "addr": f"{addr:#010x}",
-                        "bytes_hex": entry.gadget.data.hex(),
-                        "insns": [str(i) for i in entry.gadget.insns],
-                        "class": entry.gclass.render(),
-                    }
-                )
-            )
+            fields = {
+                "bytes_hex": gadget.data.hex(),
+                "insns": [str(i) for i in gadget.insns],
+                "class": entry.gclass.render(),
+            }
+            rows.extend((a, json.dumps({"addr": f"{a:#010x}", **fields})) for a in entry.addrs)
         else:
-            print(f"{_style(f'{addr:#010x}', '36')}: {entry.gadget.render()}")
+            text = gadget.render()
+            rows.extend((a, f"{_style(f'{a:#010x}', '36', color)}: {text}") for a in entry.addrs)
+    rows.sort(key=lambda row: row[0])  # stable: equal addresses keep byte order
+    out = "".join(f"{line}\n" for _, line in rows)
     if not args.json:
-        print(f"{shown} gadgets")
+        out += f"{len(rows)} gadgets\n"
+    sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -166,9 +156,10 @@ def cmd_build(args) -> int:
 
     violations = check_bad_bytes(payload, resolved.spec.bad_bytes)
     if violations:
+        color = _color_enabled()
         for offset, byte, role in violations:
             print(
-                _style(f"bad byte {byte:#04x} at offset {offset} ({role})", "31"),
+                _style(f"bad byte {byte:#04x} at offset {offset} ({role})", "31", color),
                 file=sys.stderr,
             )
         if not args.force:
@@ -206,7 +197,9 @@ def cmd_pattern(args) -> int:
     if args.locate is not None:
         token = args.locate
         if token.startswith("0x") or token.isdigit():
-            value = int(token, 0) & 0xFFFFFFFF
+            value = int(token, 0)
+            if value >= 1 << 32:
+                raise ChainFileError(f"--locate value {token} is wider than 32 bits")
             window = value.to_bytes(4, "little")  # value as read from a register
         elif len(token) == 4:
             window = token.encode("latin-1")
@@ -224,6 +217,7 @@ def cmd_pattern(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ropforge",

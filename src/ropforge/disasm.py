@@ -63,14 +63,6 @@ class FreeBranchKind(enum.IntEnum):
     CALL_INDIRECT = 4
 
 
-# Encoded length of each terminator, counted from its first byte.
-FREE_BRANCH_LENGTH = {
-    FreeBranchKind.RET: 1,
-    FreeBranchKind.RET_IMM16: 3,
-    FreeBranchKind.JMP_INDIRECT: 2,
-    FreeBranchKind.CALL_INDIRECT: 2,
-}
-
 FREE_BRANCH_OF = {
     Mnemonic.RET: FreeBranchKind.RET,
     Mnemonic.RET_IMM16: FreeBranchKind.RET_IMM16,
@@ -136,6 +128,11 @@ RULES = (
     Rule((0x81, 0x81), (0xC4, 0xC4), 6, Mnemonic.ADD_ESP_IMM32),
 )
 
+# Encoded length of each terminator, counted from its first byte.
+FREE_BRANCH_LENGTH = {
+    kind: next(r.length for r in RULES if r.mnemonic is m) for m, kind in FREE_BRANCH_OF.items()
+}
+
 # Rules by first byte, for the decoder's lookup.
 _RULES_BY_FIRST: dict[int, tuple[Rule, ...]] = {
     b: tuple(r for r in RULES if r.first[0] <= b <= r.first[1]) for b in range(256)
@@ -150,27 +147,28 @@ def _u32(data: bytes, at: int) -> int:
     return int.from_bytes(data[at : at + 4], "little")
 
 
-def _modrm_pair(data: bytes, at: int) -> tuple[int, int]:
+def _modrm_pair(data: bytes, at: int, rule: Rule) -> tuple[int, int]:
     """(dst, src) of a register-form mov/xor; 89/31 store into r/m, 8b/33 load."""
     modrm = data[at + 1]
     reg, rm = (modrm >> 3) & 7, modrm & 7
     return (rm, reg) if data[at] in (0x89, 0x31) else (reg, rm)
 
 
-# Operand extraction per mnemonic, from the instruction's first byte.
+# Operand extraction per mnemonic, from the instruction's bytes and its rule:
+# a register encoded in a byte is that byte's offset from the rule's range start.
 _OPERANDS = {
-    Mnemonic.PUSH_REG: lambda d, o: (d[o] - 0x50,),
-    Mnemonic.POP_REG: lambda d, o: (d[o] - 0x58,),
-    Mnemonic.RET_IMM16: lambda d, o: (_u16(d, o + 1),),
-    Mnemonic.INT_IMM8: lambda d, o: (d[o + 1],),
-    Mnemonic.PUSH_IMM32: lambda d, o: (_u32(d, o + 1),),
-    Mnemonic.MOV_REG_IMM32: lambda d, o: (d[o] - 0xB8, _u32(d, o + 1)),
+    Mnemonic.PUSH_REG: lambda d, o, r: (d[o] - r.first[0],),
+    Mnemonic.POP_REG: lambda d, o, r: (d[o] - r.first[0],),
+    Mnemonic.RET_IMM16: lambda d, o, r: (_u16(d, o + 1),),
+    Mnemonic.INT_IMM8: lambda d, o, r: (d[o + 1],),
+    Mnemonic.PUSH_IMM32: lambda d, o, r: (_u32(d, o + 1),),
+    Mnemonic.MOV_REG_IMM32: lambda d, o, r: (d[o] - r.first[0], _u32(d, o + 1)),
     Mnemonic.MOV_REG_REG: _modrm_pair,
     Mnemonic.XOR_REG_REG: _modrm_pair,
-    Mnemonic.CALL_INDIRECT: lambda d, o: (d[o + 1] - 0xD0,),
-    Mnemonic.JMP_INDIRECT: lambda d, o: (d[o + 1] - 0xE0,),
-    Mnemonic.ADD_ESP_IMM8: lambda d, o: (_sign8(d[o + 2]),),
-    Mnemonic.ADD_ESP_IMM32: lambda d, o: (_sign32(_u32(d, o + 2)),),
+    Mnemonic.CALL_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
+    Mnemonic.JMP_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
+    Mnemonic.ADD_ESP_IMM8: lambda d, o, r: (_sign8(d[o + 2]),),
+    Mnemonic.ADD_ESP_IMM32: lambda d, o, r: (_sign32(_u32(d, o + 2)),),
 }
 
 
@@ -191,7 +189,7 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
             if not lo <= data[offset + 1] <= hi:
                 continue
         extract = _OPERANDS.get(rule.mnemonic)
-        operands = extract(data, offset) if extract else ()
+        operands = extract(data, offset, rule) if extract else ()
         return Instruction(vaddr, rule.length, rule.mnemonic, operands)
     return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
 

@@ -3,12 +3,14 @@
 A gadget is an instruction sequence ending in a free branch, discovered at
 every byte offset (aligned with intended instructions or not).  Scanning runs
 through :mod:`ropforge.kernels`; this module owns the object model, the
-dedup-by-bytes set, the classifier, and the byte search for the cleanup
+dedup by bytes, the classifier, and the byte search for the cleanup
 gadget the chain planner asks for.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -75,22 +77,6 @@ class GadgetEntry:
     gclass: GadgetClass
 
 
-@dataclass(frozen=True)
-class GadgetSet:
-    entries: tuple[GadgetEntry, ...]  # sorted by gadget bytes
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def by_address(self) -> list[tuple[int, GadgetEntry]]:
-        flat = [(a, e) for e in self.entries for a in e.addrs]
-        flat.sort(key=lambda pair: pair[0])
-        return flat
-
-
 def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
     insns = decode_window(raw, 0, len(raw), base_vaddr=vaddr)
     assert insns, "a gadget window the decoder rejects"
@@ -111,26 +97,41 @@ def classify(g: Gadget) -> GadgetClass:
     return GadgetClass("other")
 
 
-def find_pop_ret(image: BinaryImage, arity: int) -> Gadget | None:
-    """Lowest-address ``pop^arity ; ret`` that pops no esp, found by a byte
-    search of every executable section (no enumeration limit applies)."""
+def _matches(section, run: re.Pattern):
+    """Every (vaddr, bytes) match of ``run`` in ``section``, overlapping, ascending."""
+    m = run.search(section.data)
+    while m:
+        yield section.vaddr + m.start(), m.group()
+        m = run.search(section.data, m.start() + 1)
+
+
+def find_pop_ret(
+    image: BinaryImage, arity: int, bad_bytes: frozenset[int] = frozenset()
+) -> Gadget | None:
+    """Lowest-address ``pop^arity ; ret`` that pops no esp and whose address
+    avoids ``bad_bytes``, found by a byte search of every executable section
+    (no enumeration limit applies).  When every match's address holds a bad
+    byte, the lowest match is returned anyway, for the caller to report."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     pops, ret = re.escape(_CLEANUP_POP_BYTES), re.escape(bytes([_RET_FIRST]))
     # search tries every start offset, so a run inside a longer one is found.
     run = re.compile(b"[%s]{%d}%s" % (pops, arity, ret))
-    found = []
-    for section in image.executable_sections():
-        if m := run.search(section.data):
-            found.append((section.vaddr + m.start(), m.group()))
-    return _decode_gadget(*min(found)) if found else None
+    found = heapq.merge(*(_matches(s, run) for s in image.executable_sections()))
+    lowest = next(found, None)
+    if lowest is None:
+        return None
+    for vaddr, raw in itertools.chain([lowest], found):
+        if bad_bytes.isdisjoint(vaddr.to_bytes(4, "little")):
+            return _decode_gadget(vaddr, raw)
+    return _decode_gadget(*lowest)
 
 
 def enumerate_gadgets(
     image: BinaryImage,
     max_insns: int = DEFAULT_MAX_INSNS,
     window_back: int = DEFAULT_WINDOW_BACK,
-) -> GadgetSet:
+) -> tuple[GadgetEntry, ...]:
     """Collect every gadget of at most ``max_insns`` instructions.
 
     For each free-branch terminator, window starts are tried up to
@@ -154,4 +155,4 @@ def enumerate_gadgets(
         addrs = tuple(sorted(occurrences[raw]))
         gadget = _decode_gadget(addrs[0], raw)
         entries.append(GadgetEntry(gadget=gadget, addrs=addrs, gclass=classify(gadget)))
-    return GadgetSet(entries=tuple(entries))
+    return tuple(entries)

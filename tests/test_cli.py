@@ -1,14 +1,18 @@
 """CLI end-to-end tests driving main() in-process, plus one console-script check."""
 
+import json
 import struct
 import subprocess
 import sys
 
 import pytest
 
+import oracle_bruteforce
 from conftest import ADDR_SECRET_NOPARM, ADDR_STR
 from ropforge.cli import main
+from ropforge.disasm import decode_window, format_instruction, free_branch_kind
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
+from ropforge.gadgets import Gadget, classify
 
 FIG8_CHAIN = """\
 binary: {binary}
@@ -335,3 +339,132 @@ def test_verify_rejects_words_outside_32_bits(demo_binary, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "SecretFunctionWithParm(0x80000000)" in out
     assert "SecretFunctionWithParm(0xffffffff)" in out
+
+
+def test_build_picks_cleanup_gadget_free_of_bad_bytes(tmp_path, capsys):
+    # the lowest pop ; ret sits at 0x08048020 (0x20 is a scanf bad byte); a
+    # clean pop ecx ; ret sits higher at 0x08048030
+    text = b"\xcc" * 0x20 + b"\x58\xc3" + b"\xcc" * 14 + b"\x59\xc3"
+    binary = tmp_path / "dirtypop"
+    binary.write_bytes(build_elf([SectionSpec(".text", 0x08048000, text, "ax")]))
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {binary}\nret_offset: 32\ncall: 0x08048000 0x1234\ncall: 0x08048004\n"
+    )
+    out_file = tmp_path / "payload.bin"
+    assert main(["build", str(chain), "--out", str(out_file), "--format", "raw"]) == 0
+    words = [w for (w,) in struct.iter_unpack("<I", out_file.read_bytes()[32:])]
+    assert words == [0x08048000, 0x08048030, 0x1234, 0x08048004, 0xDEADC0DE]
+    assert "bad byte" not in capsys.readouterr().err
+    assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0
+
+
+def test_build_reports_bad_cleanup_address_when_none_is_clean(tmp_path, capsys):
+    # the only pop ; ret sits at 0x08048020: it is kept, reported, and exit 4 stands
+    text = b"\xcc" * 0x20 + b"\x58\xc3"
+    binary = tmp_path / "dirtypop"
+    binary.write_bytes(build_elf([SectionSpec(".text", 0x08048000, text, "ax")]))
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {binary}\nret_offset: 32\ncall: 0x08048000 0x1234\ncall: 0x08048004\n"
+    )
+    assert main(["build", str(chain), "--format", "raw", "--out", str(tmp_path / "p")]) == 4
+    assert "bad byte 0x20 at offset 36 (cleanup_gadget)" in capsys.readouterr().err
+
+
+def test_pattern_locate_rejects_values_wider_than_32_bits(capsys):
+    assert main(["pattern", "--locate", "0x6261616a"]) == 0
+    assert capsys.readouterr().out.strip() == "offset=136"
+    for token in ("0x16261616a", "0x100000000", str(1 << 32)):
+        assert main(["pattern", "--locate", token]) == 2
+        assert "32 bits" in capsys.readouterr().err
+    assert main(["pattern", "--locate", "0xffffffff"]) == 3  # widest value, not in the pattern
+
+
+def test_consecutive_main_calls_match_fresh_processes(demo_binary, tmp_path, capsys):
+    # the parser is built once per process: no flag may carry over between calls
+    chain = tmp_path / "chain.rop"
+    chain.write_text(f"binary: {demo_binary}\nret_offset: 32\ncall: 0x0804200a\n")
+    sequence = [
+        ["gadgets", str(demo_binary), "--json"],
+        ["gadgets", str(demo_binary)],
+        ["build", str(chain), "--force"],
+        ["build", str(chain)],
+    ]
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    fresh = []
+    for argv in sequence:
+        result = subprocess.run(
+            [sys.executable, "-m", "ropforge.cli", *argv], capture_output=True, text=True
+        )
+        fresh.append((result.returncode, result.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in in_process] == [0, 0, 0, 4]
+    assert in_process[0][1].startswith("{") and in_process[1][1].startswith("0x")
+
+
+def _oracle_listing(sections, wanted=None, arity=None, as_json=False):
+    """The `gadgets` listing built from the brute-force window oracle."""
+    occurrences: dict[bytes, list[int]] = {}
+    for vaddr, data in sections:
+        for raw, addrs in oracle_bruteforce.brute_force_gadget_map(data, vaddr, 20, 5).items():
+            occurrences.setdefault(raw, []).extend(addrs)
+    rows = []
+    for raw, addrs in occurrences.items():
+        lowest = min(addrs)
+        insns = tuple(decode_window(raw, 0, len(raw), base_vaddr=lowest))
+        gclass = classify(Gadget(lowest, insns, free_branch_kind(insns[-1]), raw))
+        if wanted is not None and gclass.kind != wanted:
+            continue
+        if arity is not None and gclass.arity != arity:
+            continue
+        for a in addrs:
+            if as_json:
+                fields = {
+                    "addr": f"{a:#010x}",
+                    "bytes_hex": raw.hex(),
+                    "insns": [format_instruction(i) for i in insns],
+                    "class": gclass.render(),
+                }
+                rows.append((a, fields))
+            else:
+                text = " ; ".join(format_instruction(i) for i in insns)
+                rows.append((a, f"\x1b[36m{a:#010x}\x1b[0m: {text}"))
+    rows.sort(key=lambda row: row[0])
+    return [line for _, line in rows]
+
+
+def test_gadgets_listing_matches_brute_force_over_two_sections(tmp_path, capsys, monkeypatch):
+    # pop eax ; ret occurs three times over two sections, listed high section first
+    low = (0x08048000, b"\x90\x58\xc3\xcc\x5e\x5f\xc3\x05\xc3\x00\x00\x00\xff\xe0")
+    high = (0x08049000, b"\x58\xc3\xcc\x83\xc4\x08\xc3\xcc\x90\x58\xc3\xff\xd1\x5b\xc3")
+    binary = tmp_path / "twosections"
+    binary.write_bytes(
+        build_elf([SectionSpec(".text2", *high, "ax"), SectionSpec(".text", *low, "ax")])
+    )
+    monkeypatch.setenv("ROPFORGE_COLOR", "1")
+    sections = [low, high]
+
+    assert main(["gadgets", str(binary)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = _oracle_listing(sections)
+    assert lines == expected + [f"{len(expected)} gadgets"]
+    assert sum(line.endswith(": pop eax ; ret") for line in lines) == 3
+
+    assert main(["gadgets", str(binary), "--json"]) == 0
+    objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert objects == _oracle_listing(sections, as_json=True)
+
+    assert main(["gadgets", str(binary), "--class", "pop_ret", "--arity", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = _oracle_listing(sections, "pop_ret", 1)
+    assert len(expected) == 5
+    assert lines == expected + ["5 gadgets"]
+
+    assert main(["gadgets", str(binary), "--json", "--class", "other"]) == 0
+    objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert objects == _oracle_listing(sections, "other", as_json=True)
+    assert objects

@@ -1,5 +1,5 @@
 """Gadget finder tests: kernels, enumeration vs brute force, classification,
-and the cleanup-gadget byte search against the enumeration."""
+and the cleanup-gadget byte search against the enumeration and bad bytes."""
 
 import random
 
@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET
+from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
 from ropforge.disasm import FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
+from ropforge.errors import MissingCleanupGadgetError
 from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
 from ropforge.image import load_image
 from ropforge.kernels import scan_free_branches
+from ropforge.sim import StubTable, TerminationKind, simulate
 
 
 def image_of(data: bytes, vaddr: int = 0x08048000):
@@ -179,12 +182,23 @@ _pop_heavy_text = st.lists(
 ).map(b"".join)
 
 
+# Text where pop runs end in ret, so that one arity has several cleanup runs.
+_cleanup_rich_text = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.lists(st.integers(0x58, 0x5F), min_size=1, max_size=5).map(lambda r: bytes(r) + b"\xc3"),
+    ),
+    min_size=2,
+    max_size=16,
+).map(b"".join)
+
+
 @st.composite
-def pop_heavy_images(draw):
+def pop_heavy_images(draw, text=_pop_heavy_text):
     """One or two executable sections, the higher one sometimes listed first."""
-    specs = [SectionSpec(".text", 0x08048000, draw(_pop_heavy_text), "ax")]
+    specs = [SectionSpec(".text", 0x08048000, draw(text), "ax")]
     if draw(st.booleans()):
-        specs.append(SectionSpec(".text2", 0x08049000, draw(_pop_heavy_text), "ax"))
+        specs.append(SectionSpec(".text2", 0x08049000, draw(text), "ax"))
         if draw(st.booleans()):
             specs.reverse()
     return load_image(build_elf(specs))
@@ -247,3 +261,49 @@ def test_gadget_invariants(demo_image):
         assert sum(i.length for i in g.insns) == len(g.data)
         assert g.vaddr + len(g.data) - g.insns[-1].length == g.insns[-1].vaddr
         assert e.addrs == tuple(sorted(e.addrs))
+
+
+def _pop_ret_windows(img, k):
+    """Every (vaddr, bytes) window of k + 1 bytes that classifies as pop_ret(k), ascending."""
+    hits = []
+    for s in img.executable_sections():
+        for start in range(len(s.data) - k):
+            raw = s.data[start : start + k + 1]
+            insns = decode_window(raw, 0, len(raw), base_vaddr=s.vaddr + start)
+            if insns is None:
+                continue
+            g = Gadget(s.vaddr + start, tuple(insns), None, raw)
+            if classify(g).render() == f"pop_ret({k})":
+                hits.append((g.vaddr, raw))
+    return sorted(hits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pop_heavy_images(_cleanup_rich_text), st.data())
+def test_find_pop_ret_prefers_address_free_of_bad_bytes(img, data):
+    # bad bytes drawn from the low address bytes of the image's cleanup runs
+    # (and the 0x80 / 0x90 of the section addresses), so that dirty and clean
+    # candidates of one arity are common
+    hits_by_arity = {k: _pop_ret_windows(img, k) for k in range(1, 5)}
+    lows = {a & 0xFF for hits in hits_by_arity.values() for a, _ in hits}
+    bad = data.draw(st.frozensets(st.sampled_from(sorted(lows | {0x80, 0x90}))))
+    for k, hits in hits_by_arity.items():
+        clean = [h for h in hits if bad.isdisjoint(h[0].to_bytes(4, "little"))]
+        assert _found(find_pop_ret(img, k, bad)) == (clean or hits or [None])[0]
+
+        stub = 0x0A000000 + 0x10 * k
+        calls = (CallStep(stub, tuple(range(1, k + 1))), CallStep(0x0A000000))
+        spec = ChainSpec(calls=calls, ret_offset=32, bad_bytes=bad)
+        if not hits:
+            with pytest.raises(MissingCleanupGadgetError):
+                plan_chain(spec, img)
+            continue
+        payload = emit_payload(plan_chain(spec, img))
+        stubs = StubTable()
+        stubs.add(stub, "f", k)
+        stubs.add(0x0A000000, "g", 0)
+        trace = simulate(img, stubs, payload, 32)
+        assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
+        assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
+        dirty = [v for v in check_bad_bytes(payload, bad) if v[2] == "cleanup_gadget"]
+        assert bool(dirty) == (not clean)
