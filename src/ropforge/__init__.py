@@ -62,7 +62,6 @@ from .pattern import cyclic_pattern, pattern_offset
 from .sim import (
     CallEvent,
     CallTrace,
-    SimConfig,
     StubTable,
     Termination,
     TerminationKind,
@@ -96,7 +95,6 @@ __all__ = [
     "RopforgeError",
     "SCANF_BAD_BYTES",
     "Section",
-    "SimConfig",
     "StackLayout",
     "StubTable",
     "Symbol",

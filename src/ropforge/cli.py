@@ -33,7 +33,7 @@ from .errors import (
 from .gadgets import DEFAULT_MAX_INSNS, DEFAULT_WINDOW_BACK, enumerate_gadgets
 from .image import load_image, lookup_symbol, stack_frame_displacement
 from .pattern import cyclic_pattern, pattern_offset
-from .sim import SimConfig, TerminationKind, format_trace, simulate, trace_jsonl
+from .sim import TerminationKind, format_trace, simulate, trace_jsonl
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -122,6 +122,27 @@ def _format_payload(payload: Payload, fmt: str) -> bytes:
     raise ChainFileError(f"unknown payload format {fmt!r}")
 
 
+# Hex digits read "h"; "\\", "x" and newline read as themselves; other bytes "?".
+# Comparing class strings matches ``(?:[0-9a-f]{2})*\n`` and ``(?:\\x[0-9a-f]{2})*\n``
+# without a regex group repeat, whose backtracking state takes gigabytes at 16 MiB.
+_TEXT_CLASS = bytes(
+    ord("h") if chr(c) in "0123456789abcdef" else c if chr(c) in "\\x\n" else ord("?")
+    for c in range(256)
+)
+_TEXT_UNIT = {"hex": b"hh", "escaped": b"\\xhh"}
+
+
+def _read_payload(blob: bytes) -> tuple[bytes, str]:
+    """Inverse of :func:`_format_payload`: a file that is exactly a ``hex`` or
+    ``escaped`` rendering is decoded; anything else is raw payload bytes."""
+    classes = blob.translate(_TEXT_CLASS)
+    for fmt, unit in _TEXT_UNIT.items():
+        count, rest = divmod(len(blob) - 1, len(unit))
+        if not rest and classes == unit * count + b"\n":
+            return bytes.fromhex(blob[:-1].replace(b"\\x", b"").decode()), fmt
+    return blob, "raw"
+
+
 def _annotation_table(payload: Payload) -> list[str]:
     rows = []
     for a in payload.annotations:
@@ -173,11 +194,13 @@ def cmd_verify(args) -> int:
     cf = chainfile_mod.load_chain_file(args.chainfile)
     resolved = chainfile_mod.resolve(cf, image)
     if args.payload:
-        payload: Payload | bytes = Path(args.payload).read_bytes()
+        payload, fmt = _read_payload(Path(args.payload).read_bytes())
+        if fmt != "raw":
+            print(f"verify: payload read as {fmt}", file=sys.stderr)
     else:
         payload = _build_payload(resolved, image)
 
-    trace = simulate(image, resolved.stubs, payload, resolved.spec.ret_offset, SimConfig())
+    trace = simulate(image, resolved.stubs, payload, resolved.spec.ret_offset)
     lines = trace_jsonl(trace) if args.json else format_trace(trace)
     print("\n".join(lines))
 
@@ -258,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="simulate a chain and check its trace")
     p.add_argument("binary")
     p.add_argument("chainfile")
-    p.add_argument("--payload", help="verify these prebuilt payload bytes instead of rebuilding")
+    p.add_argument("--payload", help="verify this payload file (any build format) instead")
     p.add_argument("--json", action="store_true", help="emit the trace as JSON lines")
     p.set_defaults(func=cmd_verify)
 

@@ -14,7 +14,6 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from . import kernels
 from .disasm import (
     REG_NAMES,
     RULES,
@@ -143,6 +142,8 @@ def enumerate_gadgets(
         raise ValueError("max_insns must be >= 1")
     if window_back < 1:
         raise ValueError("window_back must be >= 1")
+
+    from . import kernels  # numpy loads only when gadgets are listed
 
     occurrences: dict[bytes, set[int]] = {}
     for section in image.executable_sections():

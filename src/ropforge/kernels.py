@@ -132,6 +132,11 @@ def scan_gadget_windows(
     data: bytes, window_back: int, max_insns: int
 ) -> list[tuple[int, int]]:
     """All valid gadget windows (start, end) behind every terminator in ``data``."""
+    # A window's body is at most max_insns - 1 instructions of MAX_INSN_LEN bytes,
+    # and a terminator t closing its end has t <= end - 1, within longest - 1 bytes
+    # of the last instruction's start: no start further back validates.
+    longest = max(disasm.FREE_BRANCH_LENGTH.values())
+    window_back = min(window_back, (max_insns - 1) * disasm.MAX_INSN_LEN + longest - 1)
     length, klass = length_class(np.frombuffer(data, dtype=np.uint8))
     terms = _free_branch_offsets(klass)
     if not len(terms):

@@ -19,9 +19,9 @@ from .chain import EXIT_SENTINEL, MAX_CALL_ARITY, Payload
 from .disasm import Mnemonic, decode_one
 from .image import BinaryImage
 
-DEFAULT_STACK_BASE = 0xBFFF0000
-DEFAULT_STACK_SIZE = 64 * 1024
-DEFAULT_STEP_BUDGET = 10_000
+STACK_TOP = 0xC0000000  # the stack region ends here and grows down with the payload
+MIN_STACK_SIZE = 64 * 1024
+STEP_BUDGET = 10_000
 STACK_FILL = 0xCC  # uninitialized slots read conspicuously as 0xCCCCCCCC
 
 _MASK = 0xFFFFFFFF
@@ -100,20 +100,6 @@ class StubTable:
     def get(self, addr: int) -> Stub | None:
         return self._stubs.get(addr)
 
-    def __contains__(self, addr: int) -> bool:
-        return addr in self._stubs
-
-    def __len__(self) -> int:
-        return len(self._stubs)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    stack_base: int = DEFAULT_STACK_BASE
-    stack_size: int = DEFAULT_STACK_SIZE
-    exit_sentinel: int = EXIT_SENTINEL
-    step_budget: int = DEFAULT_STEP_BUDGET
-
 
 class _StackFault(Exception):
     def __init__(self, addr: int):
@@ -154,10 +140,6 @@ class MachineState:
         off = self._span(addr, 4)
         self.stack[off : off + 4] = (value & _MASK).to_bytes(4, "little")
 
-    def write_bytes(self, addr: int, blob: bytes) -> None:
-        off = self._span(addr, len(blob))
-        self.stack[off : off + len(blob)] = blob
-
     def pop(self) -> int:
         value = self.read32(self.esp)
         self.esp = self.esp + 4
@@ -168,24 +150,24 @@ class MachineState:
         self.write32(self.esp, value)
 
 
-def step(state: MachineState, stubs: StubTable, config: SimConfig) -> Termination | None:
+def step(state: MachineState, stubs: StubTable) -> Termination | None:
     """Advance one step; returns a Termination when the run is over.
 
     Priority per step: stub interception, then the exit sentinel, then fetch
     and execute one decoded instruction.
     """
-    if state.steps >= config.step_budget:
+    if state.steps >= STEP_BUDGET:
         return Termination(TerminationKind.STEP_BUDGET)
     state.steps += 1
     try:
-        return _step_inner(state, stubs, config)
+        return _step_inner(state, stubs)
     except _StackFault as fault:
         return Termination(
             TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=fault.addr
         )
 
 
-def _step_inner(state: MachineState, stubs: StubTable, config: SimConfig) -> Termination | None:
+def _step_inner(state: MachineState, stubs: StubTable) -> Termination | None:
     stub = stubs.get(state.ip)
     if stub is not None:
         # cdecl callee: observe args above the return slot, then ret without
@@ -195,7 +177,7 @@ def _step_inner(state: MachineState, stubs: StubTable, config: SimConfig) -> Ter
         state.ip = state.pop()
         return None
 
-    if state.ip == config.exit_sentinel:
+    if state.ip == EXIT_SENTINEL:
         return Termination(TerminationKind.EXIT_SENTINEL)
 
     section = state.image.section_at(state.ip)
@@ -244,61 +226,45 @@ def _step_inner(state: MachineState, stubs: StubTable, config: SimConfig) -> Ter
             pass
         state.ip = (state.ip + insn.length) & _MASK
 
-    if not config.stack_base <= state.esp <= config.stack_base + config.stack_size:
+    if not state.stack_base <= state.esp <= state.stack_base + len(state.stack):
         return Termination(
             TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=state.esp
         )
     return None
 
 
-def boot_state(
-    image: BinaryImage,
-    payload: Payload | bytes,
-    ret_offset: int,
-    config: SimConfig | None = None,
-) -> MachineState:
+def boot_state(image: BinaryImage, payload: Payload | bytes, ret_offset: int) -> MachineState:
     """Stack and registers at the instant the vulnerable function returns.
 
-    The payload's buffer start sits a quarter into the stack region; the word
-    at ``ret_offset`` therefore occupies the saved return address slot, and
-    esp points at that slot with the overflow's tail at ascending addresses.
+    The stack region ends at ``STACK_TOP``; its size is the smallest multiple
+    of ``MIN_STACK_SIZE`` whose top three quarters hold the payload, so any
+    payload of up to 48 KiB gets the same addresses.  The payload's buffer
+    start sits a quarter into the region; the word at ``ret_offset``
+    therefore occupies the saved return address slot, and esp points at that
+    slot with the overflow's tail at ascending addresses.
     """
-    config = config or SimConfig()
     data = payload.data if isinstance(payload, Payload) else bytes(payload)
+    if ret_offset < 0:
+        raise ValueError("ret_offset must be >= 0")
     if len(data) < ret_offset + 4:
         raise ValueError("payload too short to reach the saved return address")
-    buffer_addr = config.stack_base + config.stack_size // 4
-    if buffer_addr + len(data) > config.stack_base + config.stack_size:
-        raise ValueError("payload does not fit in the configured stack region")
-    state = MachineState(
-        image=image,
-        stack_base=config.stack_base,
-        stack=bytearray([STACK_FILL]) * config.stack_size,
-    )
-    state.write_bytes(buffer_addr, data)
-    state.esp = buffer_addr + ret_offset
+    size = MIN_STACK_SIZE * -(-len(data) // (MIN_STACK_SIZE * 3 // 4))
+    stack = bytearray([STACK_FILL]) * size
+    stack[size // 4 : size // 4 + len(data)] = data
+    state = MachineState(image=image, stack_base=STACK_TOP - size, stack=stack)
+    state.esp = state.stack_base + size // 4 + ret_offset
     return state
 
 
 def simulate(
-    image: BinaryImage,
-    stubs: StubTable,
-    payload: Payload | bytes,
-    ret_offset: int,
-    config: SimConfig | None = None,
+    image: BinaryImage, stubs: StubTable, payload: Payload | bytes, ret_offset: int
 ) -> CallTrace:
     """Replay the overflowed return and run the chain to termination."""
-    config = config or SimConfig()
-    state = boot_state(image, payload, ret_offset, config)
-    try:
-        state.ip = state.pop()  # the vulnerable function's own ret
-    except _StackFault as fault:
-        term = Termination(
-            TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=fault.addr
-        )
-        return CallTrace(events=(), termination=term)
+    state = boot_state(image, payload, ret_offset)
+    # The vulnerable function's own ret: boot_state put its slot inside the payload.
+    state.ip = state.pop()
     while True:
-        term = step(state, stubs, config)
+        term = step(state, stubs)
         if term is not None:
             return CallTrace(events=tuple(state.events), termination=term)
 

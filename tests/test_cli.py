@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
 from conftest import ADDR_SECRET_NOPARM, ADDR_STR
-from ropforge.cli import main
+from ropforge.chain import Payload
+from ropforge.cli import _format_payload, _read_payload, main
 from ropforge.disasm import decode_window, format_instruction, free_branch_kind
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.gadgets import Gadget, classify
@@ -468,3 +470,66 @@ def test_gadgets_listing_matches_brute_force_over_two_sections(tmp_path, capsys,
     objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert objects == _oracle_listing(sections, "other", as_json=True)
     assert objects
+
+
+@pytest.mark.parametrize("fmt", [None, "hex", "escaped", "raw"])
+def test_verify_reads_payloads_build_wrote(demo_binary, tmp_path, capsys, fmt):
+    chain = write_chain(tmp_path, FIG7_CHAIN, demo_binary)
+    out_file = tmp_path / "payload"
+    extra = [] if fmt is None else ["--format", fmt]
+    assert main(["build", str(chain), "--out", str(out_file), *extra]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(demo_binary), str(chain), "--payload", str(out_file)]) == 0
+    err = capsys.readouterr().err
+    if fmt == "raw":
+        assert "read as" not in err
+    else:
+        assert f"verify: payload read as {fmt or 'hex'}\n" in err
+    assert "OK: trace matches" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=1, max_size=64))  # an empty payload renders "\n" in both
+def test_read_payload_inverts_the_text_formats(data):
+    for fmt in ("hex", "escaped"):
+        assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
+    raw = b"A" + data  # the default pad byte never starts a text rendering
+    assert _read_payload(raw) == (raw, "raw")
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"", b"4142", b"414\n", b"4A\n", b"41 42\n"]
+    + [b"41424", b"\\x41\\x4\n", b"\\X41\n", b"\\x41x\n", b"\\x41!", b"\\x41\n\n"],
+)
+def test_read_payload_keeps_near_misses_raw(blob):
+    assert _read_payload(blob) == (blob, "raw")
+
+
+@pytest.mark.parametrize("ret_offset", [70_000, 1 << 24])
+def test_build_then_verify_large_ret_offset(demo_binary, tmp_path, capsys, ret_offset):
+    # the simulator's stack grows with the payload up to the largest ret_offset build accepts
+    chain = tmp_path / "chain.rop"
+    chain.write_text(FIG7_CHAIN.format(binary=demo_binary).replace("auto echo", str(ret_offset)))
+    out_file = tmp_path / "payload.bin"
+    assert main(["build", str(chain), "--out", str(out_file), "--format", "raw"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(demo_binary), str(chain), "--payload", str(out_file)]) == 0
+    assert main(["verify", str(demo_binary), str(chain)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("CALL 0x080484a4 SecretFunctionWithParm(0x0804a030)\n") == 2
+
+
+def test_only_gadgets_imports_numpy(demo_binary, tmp_path):
+    chain = write_chain(tmp_path, FIG7_CHAIN, demo_binary)
+    script = (
+        "import sys\n"
+        "from ropforge.cli import main\n"
+        f"assert main(['build', {str(chain)!r}, '--out', {str(tmp_path / 'p')!r}]) == 0\n"
+        f"assert main(['verify', {str(demo_binary)!r}, {str(chain)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"assert main(['gadgets', {str(demo_binary)!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -3,9 +3,18 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+import oracle_bruteforce
 from ropforge import kernels
-from ropforge.disasm import MAX_INSN_LEN, RULES, Mnemonic, decode_one, free_branch_kind
+from ropforge.disasm import (
+    FREE_BRANCH_LENGTH,
+    MAX_INSN_LEN,
+    RULES,
+    Mnemonic,
+    decode_one,
+    free_branch_kind,
+)
 
 
 def decoded(data: bytes, offset: int) -> tuple[int, int]:
@@ -79,3 +88,41 @@ def test_windows_past_a_block_of_terminators():
     pop_rets = [(s, s + 2) for s in range(0, len(data), 2)]
     rets = [(s, s + 1) for s in range(1, len(data), 2)]
     assert kernels.scan_gadget_windows(data, 20, 5) == sorted(pop_rets + rets)
+
+
+@st.composite
+def _instruction(draw):
+    """One full encoding of a random rule of the subset."""
+    rule = draw(st.sampled_from(RULES))
+    head = [draw(st.integers(*rule.first))]
+    if rule.second is not None:
+        head.append(draw(st.integers(*rule.second)))
+    tail = rule.length - len(head)
+    return bytes(head) + draw(st.binary(min_size=tail, max_size=tail))
+
+
+_instruction_text = st.lists(st.one_of(_instruction(), st.binary(max_size=2)), max_size=40).map(
+    b"".join
+)
+
+
+def _longest_window_back(max_insns: int) -> int:
+    return (max_insns - 1) * MAX_INSN_LEN + max(FREE_BRANCH_LENGTH.values()) - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_instruction_text, st.integers(1, 4), st.data())
+def test_window_back_past_the_longest_window_matches_brute_force(data, max_insns, draw):
+    # the scanner clamps window_back; the oracle tries every start it is given.  A
+    # window's own last instruction closes it, so from (max_insns - 1) * MAX_INSN_LEN
+    # up every window is found.
+    window_back = draw.draw(st.integers((max_insns - 1) * MAX_INSN_LEN, 120))
+    windows = kernels.scan_gadget_windows(data, window_back, max_insns)
+    assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
+
+
+def test_huge_window_back_scans_like_the_longest_window():
+    data = b"\x81\xc4\x00\x00\x00\x00" * 4 + b"\xc2\x08\xc3" + b"\x58\xc3" * 50
+    longest = kernels.scan_gadget_windows(data, _longest_window_back(5), 5)
+    assert (0, len(data) - 100) in longest  # four add esp, imm32 then ret imm16
+    assert kernels.scan_gadget_windows(data, 10**9, 5) == longest

@@ -21,7 +21,9 @@ from ropforge.gadgets import find_pop_ret
 from ropforge.sim import (
     CallEvent,
     FaultKind,
-    SimConfig,
+    MIN_STACK_SIZE,
+    STACK_TOP,
+    STEP_BUDGET,
     StubTable,
     TerminationKind,
     boot_state,
@@ -30,8 +32,6 @@ from ropforge.sim import (
     step,
     trace_jsonl,
 )
-
-CFG = SimConfig()
 
 
 def build_payload(calls, image=None, ret_offset=32, final=EXIT_SENTINEL):
@@ -121,7 +121,7 @@ def test_stub_ret_rule(demo_image):
     esp_at_entry = state.esp
     arg_addr = esp_at_entry + 4
     arg_before = state.read32(arg_addr)
-    assert step(state, stub_table(), CFG) is None
+    assert step(state, stub_table()) is None
     assert state.esp == esp_at_entry + 4  # exactly the return-address pop
     assert state.read32(arg_addr) == arg_before == 0x11111111
 
@@ -135,7 +135,7 @@ def test_pop_ret_gadget_semantics(demo_image):
         base_esp = state.esp
         state.write32(base_esp + 4 * arity, 0x5A5A5A5A)
         for _ in range(arity + 1):
-            assert step(state, StubTable(), CFG) is None
+            assert step(state, StubTable()) is None
         assert state.esp == base_esp + 4 * (arity + 1)
         assert state.ip == 0x5A5A5A5A
 
@@ -144,19 +144,19 @@ def test_stack_pivot_gadget(demo_image):
     state = boot_state(demo_image, b"Z" * 64, 0)
     state.ip = ADDR_PIVOT8
     base_esp = state.esp
-    state.write32(base_esp + 8, CFG.exit_sentinel)
-    assert step(state, StubTable(), CFG) is None  # add esp, 8
+    state.write32(base_esp + 8, EXIT_SENTINEL)
+    assert step(state, StubTable()) is None  # add esp, 8
     assert state.esp == base_esp + 8
-    assert step(state, StubTable(), CFG) is None  # ret
-    assert state.ip == CFG.exit_sentinel
-    assert step(state, StubTable(), CFG).kind is TerminationKind.EXIT_SENTINEL
+    assert step(state, StubTable()) is None  # ret
+    assert state.ip == EXIT_SENTINEL
+    assert step(state, StubTable()).kind is TerminationKind.EXIT_SENTINEL
 
 
 def test_sentinel_direct(demo_image):
     state = boot_state(demo_image, b"A" * 36, 32)
-    state.write32(state.esp, CFG.exit_sentinel)
+    state.write32(state.esp, EXIT_SENTINEL)
     state.ip = state.pop()
-    term = step(state, StubTable(), CFG)
+    term = step(state, StubTable())
     assert term is not None and term.kind is TerminationKind.EXIT_SENTINEL
 
 
@@ -166,12 +166,11 @@ def test_step_budget(demo_image):
     jmp_addr = 0x08048578
     state.regs[0] = jmp_addr
     state.ip = jmp_addr
-    cfg = SimConfig(step_budget=57)
     term = None
     while term is None:
-        term = step(state, StubTable(), cfg)
+        term = step(state, StubTable())
     assert term.kind is TerminationKind.STEP_BUDGET
-    assert state.steps == 57
+    assert state.steps == STEP_BUDGET
 
 
 def test_software_interrupt_faults(demo_image):
@@ -188,12 +187,22 @@ def test_software_interrupt_faults(demo_image):
 
 def test_stack_out_of_bounds(demo_image):
     state = boot_state(demo_image, b"A" * 36, 32)
-    state.esp = CFG.stack_base + CFG.stack_size - 2  # a pop would cross the top
+    state.esp = STACK_TOP - 2  # a pop would cross the top
     state.ip = 0x0804848F  # pop ebp ; ret
-    term = step(state, StubTable(), CFG)
+    term = step(state, StubTable())
     assert term is not None
     assert term.kind is TerminationKind.FAULT
     assert term.fault is FaultKind.STACK_OUT_OF_BOUNDS
+
+
+def test_stack_bounds_follow_the_region(demo_image):
+    # a payload past 48 KiB grows the region down: a pop near its base stays in bounds
+    state = boot_state(demo_image, b"A" * 100_000, 32)
+    assert state.stack_base < 0xBFFF0000
+    state.esp = state.stack_base + 4
+    state.ip = 0x0804848F  # pop ebp ; ret
+    assert step(state, StubTable()) is None
+    assert state.esp == state.stack_base + 8
 
 
 def test_unsupported_instruction(demo_image):
@@ -242,14 +251,55 @@ def test_payload_too_short(demo_image):
         simulate(demo_image, StubTable(), b"A" * 8, 32)
 
 
+def test_negative_ret_offset_rejected(demo_image):
+    with pytest.raises(ValueError):
+        simulate(demo_image, StubTable(), b"A" * 64, -100_000)
+
+
+@pytest.mark.parametrize(
+    "length, base",
+    [
+        (36, 0xBFFF0000),
+        (48 * 1024, 0xBFFF0000),
+        (48 * 1024 + 1, 0xBFFE0000),
+        (96 * 1024 + 1, 0xBFFD0000),
+    ],
+)
+def test_stack_region_sized_from_payload(demo_image, length, base):
+    # a payload of up to 48 KiB keeps the fixed addresses every trace was taken with
+    state = boot_state(demo_image, b"A" * length, 32)
+    assert state.stack_base == base
+    assert state.stack_base + len(state.stack) == STACK_TOP
+    assert state.esp == base + len(state.stack) // 4 + 32
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(36, 300_000))
+def test_stack_region_is_the_smallest_that_holds_the_payload(demo_image, length):
+    state = boot_state(demo_image, b"A" * length, 32)
+    size = len(state.stack)
+    assert size % MIN_STACK_SIZE == 0 and state.stack_base + size == STACK_TOP
+    assert length <= size * 3 // 4  # the payload fits above the buffer start
+    assert size == MIN_STACK_SIZE or length > (size - MIN_STACK_SIZE) * 3 // 4
+    buffer = size // 4
+    assert state.stack[buffer : buffer + length] == b"A" * length
+
+
+def test_chain_past_48_kib_reaches_the_sentinel(demo_image):
+    calls = [CallStep(STUB_BY_ARITY[2], (5, 6)), CallStep(ADDR_SECRET_PARM, (ADDR_STR,))]
+    payload = build_payload(calls, demo_image, ret_offset=70_000)
+    trace = simulate(demo_image, stub_table(), payload, 70_000)
+    assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
+    assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.binary(min_size=36, max_size=200))
 def test_budget_safety_arbitrary_payloads(demo_image, blob):
     """Whatever bytes land on the stack, simulation terminates within budget."""
-    cfg = SimConfig(step_budget=300)
-    trace = simulate(demo_image, stub_table(), blob, 32, cfg)
+    trace = simulate(demo_image, stub_table(), blob, 32)
     assert trace.termination is not None
-    assert len(trace.events) <= cfg.step_budget
+    assert len(trace.events) <= STEP_BUDGET
 
 
 @settings(max_examples=80, deadline=None)
