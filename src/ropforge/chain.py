@@ -12,6 +12,7 @@ The last call needs none; its return slot simply holds the final target.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import struct
 from dataclasses import dataclass
@@ -101,9 +102,10 @@ class Payload:
     annotations: tuple[Annotation, ...]
 
     def role_at(self, offset: int) -> Role:
-        for a in self.annotations:
-            if a.offset <= offset < a.offset + a.length:
-                return a.role
+        # emit_payload lays annotations out ascending and disjoint
+        i = bisect.bisect_right(self.annotations, offset, key=lambda a: a.offset) - 1
+        if i >= 0 and offset < self.annotations[i].offset + self.annotations[i].length:
+            return self.annotations[i].role
         raise IndexError(f"offset {offset} not covered by any annotation")
 
 
@@ -164,10 +166,13 @@ def check_bad_bytes(payload: Payload, bad: frozenset[int] | set[int]) -> list[tu
     """Report every payload byte in ``bad`` as (offset, byte, role)."""
     if not bad:
         return []
+    data = payload.data
+    view = data.translate(bytes(b in bad for b in range(256)))  # 1 where bad, else 0
     hits = []
-    for offset, b in enumerate(payload.data):
-        if b in bad:
-            hits.append((offset, b, payload.role_at(offset).value))
+    offset = view.find(1)
+    while offset >= 0:
+        hits.append((offset, data[offset], payload.role_at(offset).value))
+        offset = view.find(1, offset + 1)
     return hits
 
 

@@ -118,7 +118,8 @@ def _format_payload(payload: Payload, fmt: str) -> bytes:
     if fmt == "hex":
         return payload.data.hex().encode() + b"\n"
     if fmt == "escaped":
-        return "".join(f"\\x{b:02x}" for b in payload.data).encode() + b"\n"
+        data = payload.data
+        return (b"\\x" + data.hex(" ").replace(" ", "\\x").encode() if data else b"") + b"\n"
     raise ChainFileError(f"unknown payload format {fmt!r}")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import re
 from dataclasses import dataclass
 
 from .disasm import (
@@ -36,6 +35,11 @@ CLEANUP_POP_REGS = frozenset(range(len(REG_NAMES))) - {REG_NAMES.index("esp")}
 _POP_FIRST = next(r.first[0] for r in RULES if r.mnemonic is Mnemonic.POP_REG)
 _RET_FIRST = next(r.first[0] for r in RULES if r.mnemonic is Mnemonic.RET)
 _CLEANUP_POP_BYTES = bytes(_POP_FIRST + r for r in sorted(CLEANUP_POP_REGS))
+# Section bytes read through this table: a cleanup pop is "p", ret is "r", any other byte ".".
+_CLEANUP_CLASS = bytes(
+    ord("p") if b in _CLEANUP_POP_BYTES else ord("r") if b == _RET_FIRST else ord(".")
+    for b in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -96,26 +100,29 @@ def classify(g: Gadget) -> GadgetClass:
     return GadgetClass("other")
 
 
-def _matches(section, run: re.Pattern):
-    """Every (vaddr, bytes) match of ``run`` in ``section``, overlapping, ascending."""
-    m = run.search(section.data)
-    while m:
-        yield section.vaddr + m.start(), m.group()
-        m = run.search(section.data, m.start() + 1)
+def _matches(section, run: bytes):
+    """Every (vaddr, bytes) match of the class string ``run`` in ``section``,
+    overlapping, ascending.  The section is translated on its own, so no
+    match straddles two sections."""
+    view = section.data.translate(_CLEANUP_CLASS)
+    at = view.find(run)
+    while at >= 0:
+        yield section.vaddr + at, section.data[at : at + len(run)]
+        at = view.find(run, at + 1)
 
 
 def find_pop_ret(
     image: BinaryImage, arity: int, bad_bytes: frozenset[int] = frozenset()
 ) -> Gadget | None:
     """Lowest-address ``pop^arity ; ret`` that pops no esp and whose address
-    avoids ``bad_bytes``, found by a byte search of every executable section
-    (no enumeration limit applies).  When every match's address holds a bad
-    byte, the lowest match is returned anyway, for the caller to report."""
+    avoids ``bad_bytes``, found by a substring search of every executable
+    section's byte-class view (no enumeration limit applies).  When every
+    match's address holds a bad byte, the lowest match is returned anyway,
+    for the caller to report."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    pops, ret = re.escape(_CLEANUP_POP_BYTES), re.escape(bytes([_RET_FIRST]))
-    # search tries every start offset, so a run inside a longer one is found.
-    run = re.compile(b"[%s]{%d}%s" % (pops, arity, ret))
+    # find tries every start offset, so a run inside a longer one is found.
+    run = b"p" * arity + b"r"
     found = heapq.merge(*(_matches(s, run) for s in image.executable_sections()))
     lowest = next(found, None)
     if lowest is None:

@@ -134,9 +134,12 @@ def scan_gadget_windows(
     """All valid gadget windows (start, end) behind every terminator in ``data``."""
     # A window's body is at most max_insns - 1 instructions of MAX_INSN_LEN bytes,
     # and a terminator t closing its end has t <= end - 1, within longest - 1 bytes
-    # of the last instruction's start: no start further back validates.
+    # of the last instruction's start: no start further back validates.  Nor does
+    # a start more than len(data) - 1 bytes back, which lies before offset 0.
     longest = max(disasm.FREE_BRANCH_LENGTH.values())
-    window_back = min(window_back, (max_insns - 1) * disasm.MAX_INSN_LEN + longest - 1)
+    window_back = min(
+        window_back, (max_insns - 1) * disasm.MAX_INSN_LEN + longest - 1, len(data) - 1
+    )
     length, klass = length_class(np.frombuffer(data, dtype=np.uint8))
     terms = _free_branch_offsets(klass)
     if not len(terms):

@@ -3,13 +3,16 @@
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ropforge.chain import (
     CallStep,
     ChainSpec,
+    LayoutWord,
+    Payload,
     Role,
     SCANF_BAD_BYTES,
+    StackLayout,
     check_bad_bytes,
     emit_payload,
     plan_chain,
@@ -118,6 +121,51 @@ def test_check_bad_bytes_space_in_address():
     payload = emit_payload(layout)
     hits = check_bad_bytes(payload, SCANF_BAD_BYTES)
     assert [(off, b) for off, b, _ in hits] == [(32, 0x20)]
+
+
+def _bad_bytes_reference(payload, bad):
+    """check_bad_bytes by definition: every byte, the first annotation covering it."""
+    hits = []
+    for offset, b in enumerate(payload.data):
+        if b in bad:
+            a = next(a for a in payload.annotations if a.offset <= offset < a.offset + a.length)
+            hits.append((offset, b, a.role.value))
+    return hits
+
+
+_layout_words = st.lists(
+    st.builds(
+        LayoutWord,
+        st.integers(0, 0xFFFFFFFF),
+        st.sampled_from([r for r in Role if r is not Role.PADDING]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), _layout_words, st.integers(0, 255), st.data())
+def test_check_bad_bytes_matches_per_byte_reference(pad_len, words, pad_byte, data):
+    payload = emit_payload(StackLayout(pad_len, tuple(words)), pad_byte)
+    # bad bytes drawn from the payload itself, the pad byte among them, and at random
+    bad = data.draw(st.frozensets(st.sampled_from(sorted(set(payload.data) | {pad_byte}))))
+    bad |= data.draw(st.frozensets(st.integers(0, 255), max_size=4))
+    assert check_bad_bytes(payload, bad) == _bad_bytes_reference(payload, bad)
+
+
+def test_role_at_outside_the_annotations():
+    payload = emit_payload(plan_chain(spec([CallStep(0x080484A4)], ret_offset=3)))
+    assert [payload.role_at(o) for o in (0, 2, 3, 10)] == [
+        Role.PADDING,
+        Role.PADDING,
+        Role.FUNC_ADDR,
+        Role.FINAL_TARGET,
+    ]
+    for offset in (-1, len(payload.data)):
+        with pytest.raises(IndexError):
+            payload.role_at(offset)
+    with pytest.raises(IndexError):
+        Payload(b"AAAA", ()).role_at(0)
 
 
 def test_length_identity():

@@ -116,6 +116,16 @@ def test_gadgets_json(demo_binary, capsys):
     assert any(o["class"] == "stack_pivot(8)" for o in lines)
 
 
+def test_gadgets_window_back_past_the_section(demo_binary, capsys):
+    # window_back clamps to the section: a start further back lies before offset 0
+    huge = ["--max-insns", str(10**11)]
+    assert main(["gadgets", str(demo_binary), *huge]) == 0
+    default = capsys.readouterr().out
+    assert main(["gadgets", str(demo_binary), *huge, "--window-back", str(10**12)]) == 0
+    assert capsys.readouterr().out == default
+    assert default.endswith(" gadgets\n")
+
+
 def test_build_fig8_payload(demo_binary, tmp_path, capsys):
     chain = write_chain(tmp_path, FIG8_CHAIN, demo_binary)
     out_file = tmp_path / "payload.bin"
@@ -495,6 +505,13 @@ def test_read_payload_inverts_the_text_formats(data):
         assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
     raw = b"A" + data  # the default pad byte never starts a text rendering
     assert _read_payload(raw) == (raw, "raw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_escaped_format_renders_every_byte(data):
+    expected = "".join(f"\\x{b:02x}" for b in data).encode() + b"\n"
+    assert _format_payload(Payload(data, ()), "escaped") == expected
 
 
 @pytest.mark.parametrize(

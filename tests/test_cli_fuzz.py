@@ -150,6 +150,20 @@ def test_mutated_elfs_exit_with_documented_codes(workdir, elf):
     run("verify", binary, chain, "--payload", payload)
 
 
+# Small, zero, negative and multi-TiB-if-unclamped values of the gadgets limits.
+_gadget_limits = st.one_of(
+    st.integers(1, 8), st.integers(-3, 0), st.sampled_from([10**11, 10**12])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gadget_limits, _gadget_limits)
+def test_gadgets_limits_exit_with_documented_codes(workdir, max_insns, window_back):
+    code = run("gadgets", workdir / "demo", "--max-insns", max_insns, "--window-back", window_back)
+    assert code in (cli.EXIT_OK, cli.EXIT_IO)
+    assert (code == cli.EXIT_OK) == (max_insns >= 1 and window_back >= 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_chain_files_exit_with_documented_codes(workdir, data):

@@ -2,6 +2,8 @@
 and the cleanup-gadget byte search against the enumeration and bad bytes."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,3 +309,50 @@ def test_find_pop_ret_prefers_address_free_of_bad_bytes(img, data):
         assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
         dirty = [v for v in check_bad_bytes(payload, bad) if v[2] == "cleanup_gadget"]
         assert bool(dirty) == (not clean)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_find_pop_ret_ignores_a_run_across_two_sections(k):
+    # pop eax ; pop ebx end .text, ret starts .text2 at the next address: the
+    # bytes read as one run, yet no single section holds a gadget.
+    img = load_image(
+        build_elf(
+            [
+                SectionSpec(".text", 0x08048000, b"\x90\x58\x5b", "ax"),
+                SectionSpec(".text2", 0x08048003, b"\xc3\x90", "ax"),
+            ]
+        )
+    )
+    assert find_pop_ret(img, k) is None
+
+
+BENCH = Path(__file__).resolve().parent.parent / "ropbench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    """The benchmark's input generator and its lookahead-regex reference."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+        import reference
+    finally:
+        sys.path.remove(str(BENCH))
+    return inputs, reference
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_find_pop_ret_agrees_with_benchmark_reference(bench_modules, index):
+    inputs, reference = bench_modules
+    case = inputs.chain_large(101, index)
+    img = load_image(case.files[inputs.BINARY])
+    bad = reference.SCANF_BAD_BYTES
+    for k in range(1, 7):
+        addrs = reference.pop_ret_addrs(case.text, case.text_vaddr, k)
+        clean = [a for a in addrs if bad.isdisjoint(a.to_bytes(4, "little"))]
+        for bad_bytes, want in ((frozenset(), addrs), (bad, clean or addrs)):
+            g = find_pop_ret(img, k, bad_bytes)
+            assert (g and g.vaddr) == (want[0] if want else None)
+            if g is not None:
+                off = g.vaddr - case.text_vaddr
+                assert g.data == case.text[off : off + k + 1]

@@ -126,3 +126,11 @@ def test_huge_window_back_scans_like_the_longest_window():
     longest = kernels.scan_gadget_windows(data, _longest_window_back(5), 5)
     assert (0, len(data) - 100) in longest  # four add esp, imm32 then ret imm16
     assert kernels.scan_gadget_windows(data, 10**9, 5) == longest
+
+
+def test_window_back_clamps_to_the_section():
+    # no start lies more than len(data) - 1 bytes behind a terminator
+    data = b"\x81\xc4\x00\x00\x00\x00" * 4 + b"\xc2\x08\xc3" + b"\x58\xc3" * 50
+    whole = kernels.scan_gadget_windows(data, len(data), 10**11)
+    assert set(whole) == oracle_bruteforce.brute_force_windows(data, len(data), len(data))
+    assert kernels.scan_gadget_windows(data, 10**12, 10**11) == whole
