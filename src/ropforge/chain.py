@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import MissingCleanupGadgetError, UnsatisfiableArityError
-from .gadgets import find_pop_ret
+from .gadgets import _cleanup_views, _lowest_pop_ret
 from .image import BinaryImage
 
 WORD_SIZE = 4
@@ -121,6 +121,9 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
     """
     words: list[LayoutWord] = []
     last = len(spec.calls) - 1
+    # Every cleanup query of the plan reads one byte-class view per section.
+    needs_cleanup = image is not None and any(c.arity for c in spec.calls[:last])
+    views = _cleanup_views(image) if needs_cleanup else []
     for i, call in enumerate(spec.calls):
         if call.arity > MAX_CALL_ARITY:
             raise UnsatisfiableArityError(
@@ -133,9 +136,7 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
         elif call.arity == 0:
             continue  # the next call's target doubles as the return address
         else:
-            gadget = (
-                find_pop_ret(image, call.arity, spec.bad_bytes) if image is not None else None
-            )
+            gadget = _lowest_pop_ret(views, call.arity, spec.bad_bytes)
             if gadget is None:
                 raise MissingCleanupGadgetError(
                     f"call {i} passes {call.arity} argument(s) mid-chain but no "

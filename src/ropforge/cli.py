@@ -89,16 +89,15 @@ def cmd_gadgets(args) -> int:
             continue
         if args.arity is not None and entry.gclass.arity != args.arity:
             continue
-        gadget = entry.gadget
         if args.json:
             fields = {
-                "bytes_hex": gadget.data.hex(),
-                "insns": [str(i) for i in gadget.insns],
+                "bytes_hex": entry.data.hex(),
+                "insns": entry.text.split(" ; "),
                 "class": entry.gclass.render(),
             }
             rows.extend((a, json.dumps({"addr": f"{a:#010x}", **fields})) for a in entry.addrs)
         else:
-            text = gadget.render()
+            text = entry.text
             rows.extend((a, f"{_style(f'{a:#010x}', '36', color)}: {text}") for a in entry.addrs)
     rows.sort(key=lambda row: row[0])  # stable: equal addresses keep byte order
     out = "".join(f"{line}\n" for _, line in rows)

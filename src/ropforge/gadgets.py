@@ -5,10 +5,18 @@ every byte offset (aligned with intended instructions or not).  Scanning runs
 through :mod:`ropforge.kernels`; this module owns the object model, the
 dedup by bytes, the classifier, and the byte search for the cleanup
 gadget the chain planner asks for.
+
+A listing reads each unique gadget from its bytes alone.  Its text is its
+first instruction's text, then the text of the gadget that starts at its
+second instruction: that suffix is itself a unique gadget, listed already.
+Its class is a byte pattern read through the same byte-class table the
+cleanup search uses.  The decoded :class:`Gadget` is built only when asked
+for.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -19,11 +27,12 @@ from .disasm import (
     FreeBranchKind,
     Instruction,
     Mnemonic,
+    decode_one,
     decode_window,
     format_instruction,
     free_branch_kind,
 )
-from .image import BinaryImage
+from .image import BinaryImage, Section
 
 DEFAULT_MAX_INSNS = 5
 DEFAULT_WINDOW_BACK = 20
@@ -40,6 +49,12 @@ _CLEANUP_CLASS = bytes(
     ord("p") if b in _CLEANUP_POP_BYTES else ord("r") if b == _RET_FIRST else ord(".")
     for b in range(256)
 )
+# add esp, imm: the opcode and ModRM bytes, and the length with the immediate.
+_PIVOT_LENGTH = {
+    bytes((r.first[0], r.second[0])): r.length
+    for r in RULES
+    if r.mnemonic in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32)
+}
 
 
 @dataclass(frozen=True)
@@ -71,13 +86,23 @@ class GadgetClass:
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass
 class GadgetEntry:
-    """One unique byte sequence with every address it occurs at."""
+    """One unique byte sequence with every address it occurs at.  Its class
+    and its decoded gadget are worked out on first access."""
 
-    gadget: Gadget  # decoded at the lowest address
+    data: bytes
     addrs: tuple[int, ...]
-    gclass: GadgetClass
+    text: str  # the rendered instructions, joined by " ; "
+
+    @functools.cached_property
+    def gclass(self) -> GadgetClass:
+        return _classify_bytes(self.data)
+
+    @functools.cached_property
+    def gadget(self) -> Gadget:
+        """The gadget decoded at its lowest address."""
+        return _decode_gadget(self.addrs[0], self.data)
 
 
 def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
@@ -86,29 +111,58 @@ def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
     return Gadget(vaddr=vaddr, insns=tuple(insns), terminator=free_branch_kind(insns[-1]), data=raw)
 
 
-def classify(g: Gadget) -> GadgetClass:
-    body, last = g.insns[:-1], g.insns[-1]
-    if last.mnemonic is Mnemonic.RET:
-        if not body:
-            return GadgetClass("ret_only")
-        if all(i.mnemonic is Mnemonic.POP_REG for i in body):
-            regs = tuple(i.operands[0] for i in body)
-            if CLEANUP_POP_REGS.issuperset(regs):
-                return GadgetClass("pop_ret", arity=len(body), regs=regs)
-        if len(body) == 1 and body[0].mnemonic in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
-            return GadgetClass("stack_pivot", delta=body[0].operands[0])
+def _classify_bytes(raw: bytes) -> GadgetClass:
+    """Class of a decodable window, from its bytes: ``p^k r`` (see
+    ``_CLEANUP_CLASS``) is pop_ret(k), ``r`` is ret_only, ``83 c4 ib c3`` and
+    ``81 c4 id c3`` are stack_pivot with the signed immediate."""
+    body, last = raw[:-1], raw[-1:]
+    if last.translate(_CLEANUP_CLASS) != b"r":
+        return GadgetClass("other")
+    if not body:
+        return GadgetClass("ret_only")
+    if body.translate(_CLEANUP_CLASS) == b"p" * len(body):
+        return GadgetClass("pop_ret", arity=len(body), regs=tuple(b - _POP_FIRST for b in body))
+    if _PIVOT_LENGTH.get(body[:2]) == len(body):
+        return GadgetClass("stack_pivot", delta=int.from_bytes(body[2:], "little", signed=True))
     return GadgetClass("other")
 
 
-def _matches(section, run: bytes):
-    """Every (vaddr, bytes) match of the class string ``run`` in ``section``,
-    overlapping, ascending.  The section is translated on its own, so no
-    match straddles two sections."""
-    view = section.data.translate(_CLEANUP_CLASS)
+def classify(g: Gadget) -> GadgetClass:
+    """Class of ``g``, read from its bytes."""
+    return _classify_bytes(g.data)
+
+
+def _cleanup_views(image: BinaryImage) -> list[tuple[Section, bytes]]:
+    """Every executable section with its bytes read through ``_CLEANUP_CLASS``.
+    Each section is translated on its own, so no match straddles two."""
+    return [(s, s.data.translate(_CLEANUP_CLASS)) for s in image.executable_sections()]
+
+
+def _matches(section: Section, view: bytes, run: bytes):
+    """Every (vaddr, bytes) match of the class string ``run`` in ``view``,
+    overlapping, ascending."""
     at = view.find(run)
     while at >= 0:
         yield section.vaddr + at, section.data[at : at + len(run)]
         at = view.find(run, at + 1)
+
+
+def _lowest_pop_ret(
+    views: list[tuple[Section, bytes]], arity: int, bad_bytes: frozenset[int]
+) -> Gadget | None:
+    """:func:`find_pop_ret` over views :func:`_cleanup_views` made."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    # find tries every start offset, so a run inside a longer one is found.
+    run = b"p" * arity + b"r"
+    found = heapq.merge(*(_matches(s, view, run) for s, view in views))
+    lowest = next(found, None)
+    if lowest is None:
+        return None
+    for vaddr, raw in itertools.chain([lowest], found):
+        if bad_bytes.isdisjoint(vaddr.to_bytes(4, "little")):
+            return _decode_gadget(vaddr, raw)
+    return _decode_gadget(*lowest)
 
 
 def find_pop_ret(
@@ -119,18 +173,7 @@ def find_pop_ret(
     section's byte-class view (no enumeration limit applies).  When every
     match's address holds a bad byte, the lowest match is returned anyway,
     for the caller to report."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    # find tries every start offset, so a run inside a longer one is found.
-    run = b"p" * arity + b"r"
-    found = heapq.merge(*(_matches(s, run) for s in image.executable_sections()))
-    lowest = next(found, None)
-    if lowest is None:
-        return None
-    for vaddr, raw in itertools.chain([lowest], found):
-        if bad_bytes.isdisjoint(vaddr.to_bytes(4, "little")):
-            return _decode_gadget(vaddr, raw)
-    return _decode_gadget(*lowest)
+    return _lowest_pop_ret(_cleanup_views(image), arity, bad_bytes)
 
 
 def enumerate_gadgets(
@@ -158,9 +201,15 @@ def enumerate_gadgets(
             raw = section.data[start:end]
             occurrences.setdefault(raw, set()).add(section.vaddr + start)
 
-    entries = []
-    for raw in sorted(occurrences):
-        addrs = tuple(sorted(occurrences[raw]))
-        gadget = _decode_gadget(addrs[0], raw)
-        entries.append(GadgetEntry(gadget=gadget, addrs=addrs, gclass=classify(gadget)))
-    return tuple(entries)
+    # The window from a valid window's second instruction to its end is valid
+    # behind the same terminator (or, when it starts past that terminator,
+    # behind the free branch it ends in), so it is a key here too: shorter
+    # keys first, each text is its first instruction's text plus its suffix's.
+    texts: dict[bytes, str] = {}
+    for raw in sorted(occurrences, key=len):
+        insn = decode_one(raw, 0)
+        text = format_instruction(insn)
+        texts[raw] = f"{text} ; {texts[raw[insn.length :]]}" if insn.length < len(raw) else text
+    return tuple(
+        GadgetEntry(raw, tuple(sorted(occurrences[raw])), texts[raw]) for raw in sorted(occurrences)
+    )

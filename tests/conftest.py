@@ -10,6 +10,7 @@ byte runs from each other.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.image import load_image
@@ -36,6 +37,37 @@ ADDR_UNALIGNED_RET = 0x08048571
 
 # Unmapped addresses used as simulator stubs in randomized chain tests.
 STUB_BY_ARITY = {k: 0x08049000 + 0x10 * k for k in range(4)}
+
+
+def _op(first: bytes, imm_bytes: int, signed: bool = False):
+    """Encodings that start with ``first`` and end in an immediate of that many bytes."""
+    bits = 8 * imm_bytes
+    lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
+    return st.integers(lo, hi).map(lambda v: first + v.to_bytes(imm_bytes, "little", signed=signed))
+
+
+# Section text weighted towards the decoder's subset: pop and push of every
+# register (pop esp included), pop runs that end in ret, every terminator, add
+# esp with the sign bit of its immediate set or clear (and sometimes a ret),
+# moves, and arbitrary bytes between them.
+insn_text = st.lists(
+    st.one_of(
+        st.integers(0x50, 0x5F).map(lambda b: bytes([b])),
+        st.lists(st.integers(0x58, 0x5F), max_size=4).map(lambda run: bytes(run) + b"\xc3"),
+        st.sampled_from([b"\xc3", b"\x90", b"\xc9"]),
+        _op(b"\xc2", 2),
+        st.sampled_from([*range(0xD0, 0xD8), *range(0xE0, 0xE8)]).map(lambda m: bytes([0xFF, m])),
+        st.tuples(
+            st.one_of(_op(b"\x83\xc4", 1, signed=True), _op(b"\x81\xc4", 4, signed=True)),
+            st.sampled_from([b"", b"\xc3"]),
+        ).map(b"".join),
+        st.integers(0xB8, 0xBF).flatmap(lambda b: _op(bytes([b]), 4)),
+        st.tuples(st.sampled_from([0x89, 0x8B, 0x31, 0x33]), st.integers(0xC0, 0xFF)).map(bytes),
+        st.binary(min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=16,
+).map(b"".join)
 
 _ECHO_BODY = bytes.fromhex(
     "55"  # push ebp

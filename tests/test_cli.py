@@ -1,20 +1,25 @@
 """CLI end-to-end tests driving main() in-process, plus one console-script check."""
 
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
-from conftest import ADDR_SECRET_NOPARM, ADDR_STR
+from oracle_bruteforce import reference_classify
+from conftest import ADDR_SECRET_NOPARM, ADDR_STR, insn_text
 from ropforge.chain import Payload
 from ropforge.cli import _format_payload, _read_payload, main
 from ropforge.disasm import decode_window, format_instruction, free_branch_kind
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
-from ropforge.gadgets import Gadget, classify
+from ropforge.gadgets import Gadget
 
 FIG8_CHAIN = """\
 binary: {binary}
@@ -418,17 +423,20 @@ def test_consecutive_main_calls_match_fresh_processes(demo_binary, tmp_path, cap
     assert in_process[0][1].startswith("{") and in_process[1][1].startswith("0x")
 
 
-def _oracle_listing(sections, wanted=None, arity=None, as_json=False):
+def _oracle_listing(
+    sections, wanted=None, arity=None, as_json=False, max_insns=5, window_back=20, color=True
+):
     """The `gadgets` listing built from the brute-force window oracle."""
     occurrences: dict[bytes, list[int]] = {}
     for vaddr, data in sections:
-        for raw, addrs in oracle_bruteforce.brute_force_gadget_map(data, vaddr, 20, 5).items():
+        found = oracle_bruteforce.brute_force_gadget_map(data, vaddr, window_back, max_insns)
+        for raw, addrs in found.items():
             occurrences.setdefault(raw, []).extend(addrs)
     rows = []
     for raw, addrs in occurrences.items():
         lowest = min(addrs)
         insns = tuple(decode_window(raw, 0, len(raw), base_vaddr=lowest))
-        gclass = classify(Gadget(lowest, insns, free_branch_kind(insns[-1]), raw))
+        gclass = reference_classify(Gadget(lowest, insns, free_branch_kind(insns[-1]), raw))
         if wanted is not None and gclass.kind != wanted:
             continue
         if arity is not None and gclass.arity != arity:
@@ -444,7 +452,8 @@ def _oracle_listing(sections, wanted=None, arity=None, as_json=False):
                 rows.append((a, fields))
             else:
                 text = " ; ".join(format_instruction(i) for i in insns)
-                rows.append((a, f"\x1b[36m{a:#010x}\x1b[0m: {text}"))
+                addr = f"\x1b[36m{a:#010x}\x1b[0m" if color else f"{a:#010x}"
+                rows.append((a, f"{addr}: {text}"))
     rows.sort(key=lambda row: row[0])
     return [line for _, line in rows]
 
@@ -480,6 +489,51 @@ def test_gadgets_listing_matches_brute_force_over_two_sections(tmp_path, capsys,
     objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert objects == _oracle_listing(sections, "other", as_json=True)
     assert objects
+
+
+def test_gadgets_listing_decodes_no_window(demo_binary, demo_image, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing decoded a whole window")
+
+    monkeypatch.setattr("ropforge.gadgets.decode_window", refuse)
+    sections = [(s.vaddr, s.data) for s in demo_image.executable_sections()]
+    assert main(["gadgets", str(demo_binary)]) == 0
+    expected = _oracle_listing(sections, color=False)
+    assert capsys.readouterr().out.splitlines() == expected + [f"{len(expected)} gadgets"]
+    assert main(["gadgets", str(demo_binary), "--json", "--class", "pop_ret"]) == 0
+    objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert objects == _oracle_listing(sections, "pop_ret", as_json=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(insn_text, min_size=1, max_size=2),
+    st.sampled_from([None, "pop_ret", "ret_only", "stack_pivot", "other"]),
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.booleans(),
+    st.integers(1, 5),
+    st.integers(1, 24),
+)
+def test_gadgets_flags_match_brute_force(texts, wanted, arity, as_json, max_insns, window_back):
+    sections = [(0x08048000 + 0x1000 * i, data) for i, data in enumerate(texts)]
+    argv = ["--max-insns", str(max_insns), "--window-back", str(window_back)]
+    argv += ["--class", wanted] if wanted else []
+    argv += ["--arity", str(arity)] if arity is not None else []
+    argv += ["--json"] if as_json else []
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        binary = Path(tmp) / "target"
+        specs = [SectionSpec(f".text{i}", *section, "ax") for i, section in enumerate(sections)]
+        binary.write_bytes(build_elf(specs[::-1]))
+        with contextlib.redirect_stdout(out):
+            assert main(["gadgets", str(binary), *argv]) == 0
+    expected = _oracle_listing(
+        sections, wanted, arity, as_json, max_insns, window_back, color=False
+    )
+    if as_json:
+        assert [json.loads(line) for line in out.getvalue().splitlines()] == expected
+    else:
+        assert out.getvalue().splitlines() == expected + [f"{len(expected)} gadgets"]
 
 
 @pytest.mark.parametrize("fmt", [None, "hex", "escaped", "raw"])

@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_bruteforce
-from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET
+from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET, insn_text
+from ropforge import chain, gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
 from ropforge.disasm import FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
@@ -110,6 +111,18 @@ def test_classification(backend, demo_image):
     assert by_bytes[b"\x31\xc0\xc3"].gclass.kind == "other"
 
 
+@settings(max_examples=150, deadline=None)
+@given(insn_text)
+@example(b"\x83\xc4\x08\xc3\x83\xc4\xf8\xc3\x81\xc4\x10\x00\x00\x00\xc3")
+@example(b"\x81\xc4\x00\x00\x00\x80\xc3\x58\x5c\xc3\x5f\xc2\x08\x00\x5e\xff\xe0\xff\xd1")
+def test_classify_matches_reference_classify(data):
+    # every valid window of the text, classified from its bytes and from its decode
+    for start, end in oracle_bruteforce.brute_force_windows(data, 20, 6):
+        insns = decode_window(data, start, end, base_vaddr=0x08048000)
+        g = Gadget(0x08048000 + start, tuple(insns), None, data[start:end])
+        assert classify(g) == oracle_bruteforce.reference_classify(g)
+
+
 def test_find_pop_ret_lowest_address(backend, demo_image):
     gset = enumerate_gadgets(demo_image)
     # the lowest arity-1 candidate is the epilogue "pop ebp ; ret" of the
@@ -208,6 +221,25 @@ def pop_heavy_images(draw, text=_pop_heavy_text):
 
 def _found(g):
     return None if g is None else (g.vaddr, g.data)
+
+
+def _assert_entry_matches_its_decode(e):
+    assert e.text == e.gadget.render()
+    assert e.text.split(" ; ") == [str(i) for i in e.gadget.insns]
+    assert e.gclass == oracle_bruteforce.reference_classify(e.gadget)
+
+
+def test_entries_match_their_decode_on_fixture(demo_image):
+    for max_insns in (1, 5, 12):
+        for e in enumerate_gadgets(demo_image, max_insns=max_insns):
+            _assert_entry_matches_its_decode(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pop_heavy_images(insn_text), st.integers(1, 8), st.integers(1, 30))
+def test_entries_match_their_decode_random(img, max_insns, window_back):
+    for e in enumerate_gadgets(img, max_insns=max_insns, window_back=window_back):
+        _assert_entry_matches_its_decode(e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,6 +356,33 @@ def test_find_pop_ret_ignores_a_run_across_two_sections(k):
         )
     )
     assert find_pop_ret(img, k) is None
+
+
+@pytest.mark.parametrize("n_sections", [1, 2])
+def test_plan_translates_each_section_once(monkeypatch, n_sections):
+    # three cleanup calls of arities 2, 3 and 1 read one byte-class view per section
+    text = b"\x5e\x5f\x5d\xc3\xcc\x58\xc3"
+    specs = [SectionSpec(f".t{i}", 0x08048000 + 0x1000 * i, text, "ax") for i in range(n_sections)]
+    img = load_image(build_elf(specs))
+    real = gadgets._cleanup_views
+    translated = []
+
+    def spy(image):
+        views = real(image)
+        translated.extend(s.name for s, _ in views)
+        return views
+
+    monkeypatch.setattr(gadgets, "_cleanup_views", spy)
+    monkeypatch.setattr(chain, "_cleanup_views", spy)
+    calls = (CallStep(0x0A000010, (1, 2)), CallStep(0x0A000020, (1, 2, 3)))
+    calls += (CallStep(0x0A000030, (4,)), CallStep(0x0A000040))
+    layout = plan_chain(ChainSpec(calls=calls, ret_offset=8), img)
+    cleanups = [w.value for w in layout.words if w.role.value == "cleanup_gadget"]
+    assert cleanups == [0x08048001, 0x08048000, 0x08048002]
+    assert sorted(translated) == [s.name for s in specs]
+    translated.clear()
+    assert find_pop_ret(img, 2).vaddr == 0x08048001
+    assert len(translated) == n_sections
 
 
 BENCH = Path(__file__).resolve().parent.parent / "ropbench"
