@@ -30,7 +30,7 @@ from .errors import (
     RopforgeError,
     UnsatisfiableArityError,
 )
-from .gadgets import DEFAULT_MAX_INSNS, DEFAULT_WINDOW_BACK, enumerate_gadgets
+from .gadgets import DEFAULT_MAX_INSNS, DEFAULT_WINDOW_BACK, classify_bytes, enumerate_gadgets
 from .image import load_image, lookup_symbol, stack_frame_displacement
 from .pattern import cyclic_pattern, pattern_offset
 from .sim import TerminationKind, format_trace, simulate, trace_jsonl
@@ -79,29 +79,33 @@ def cmd_offset(args) -> int:
     return EXIT_OK
 
 
+def _wanted(args, gclass) -> bool:
+    return args.gadget_class in (None, gclass.kind) and args.arity in (None, gclass.arity)
+
+
 def cmd_gadgets(args) -> int:
     image = _load(args.binary)
-    entries = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
-    color = _color_enabled()
-    rows = []
-    for entry in entries:
-        if args.gadget_class is not None and entry.gclass.kind != args.gadget_class:
-            continue
-        if args.arity is not None and entry.gclass.arity != args.arity:
-            continue
-        if args.json:
-            fields = {
-                "bytes_hex": entry.data.hex(),
-                "insns": entry.text.split(" ; "),
-                "class": entry.gclass.render(),
-            }
-            rows.extend((a, json.dumps({"addr": f"{a:#010x}", **fields})) for a in entry.addrs)
-        else:
-            text = entry.text
-            rows.extend((a, f"{_style(f'{a:#010x}', '36', color)}: {text}") for a in entry.addrs)
-    rows.sort(key=lambda row: row[0])  # stable: equal addresses keep byte order
-    out = "".join(f"{line}\n" for _, line in rows)
-    if not args.json:
+    listing = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
+    texts, rows = listing.texts, listing.rows  # rows ascend by address, ties by bytes
+    if args.gadget_class is not None or args.arity is not None:
+        texts = {raw: text for raw, text in texts.items() if _wanted(args, classify_bytes(raw))}
+        rows = [row for row in rows if row[1] in texts]
+    if args.json:
+        # One dump per gadget; each of its rows puts the address first.
+        tails = {
+            raw: json.dumps(
+                {
+                    "bytes_hex": raw.hex(),
+                    "insns": text.split(" ; "),
+                    "class": classify_bytes(raw).render(),
+                }
+            )[1:]
+            for raw, text in texts.items()
+        }
+        out = "".join([f'{{"addr": "{a:#010x}", {tails[raw]}\n' for a, raw in rows])
+    else:
+        before, after = ("\x1b[36m", "\x1b[0m: ") if _color_enabled() else ("", ": ")
+        out = "".join([f"{before}{a:#010x}{after}{texts[raw]}\n" for a, raw in rows])
         out += f"{len(rows)} gadgets\n"
     sys.stdout.write(out)
     return EXIT_OK

@@ -169,6 +169,9 @@ _OPERANDS = {
     Mnemonic.JMP_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
     Mnemonic.ADD_ESP_IMM8: lambda d, o, r: (_sign8(d[o + 2]),),
     Mnemonic.ADD_ESP_IMM32: lambda d, o, r: (_sign32(_u32(d, o + 2)),),
+    Mnemonic.RET: lambda d, o, r: (),
+    Mnemonic.LEAVE: lambda d, o, r: (),
+    Mnemonic.NOP: lambda d, o, r: (),
 }
 
 
@@ -188,8 +191,7 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
             lo, hi = rule.second
             if not lo <= data[offset + 1] <= hi:
                 continue
-        extract = _OPERANDS.get(rule.mnemonic)
-        operands = extract(data, offset, rule) if extract else ()
+        operands = _OPERANDS[rule.mnemonic](data, offset, rule)
         return Instruction(vaddr, rule.length, rule.mnemonic, operands)
     return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
 
@@ -224,35 +226,37 @@ def _imm(v: int) -> str:
     return f"-{-v:#x}" if v < 0 else f"{v:#x}"
 
 
+# Text per mnemonic, from its operands: the one place instruction text is written.
+_TEXT = {
+    Mnemonic.RET: lambda ops: "ret",
+    Mnemonic.RET_IMM16: lambda ops: f"ret {_imm(ops[0])}",
+    Mnemonic.JMP_INDIRECT: lambda ops: f"jmp {REG_NAMES[ops[0]]}",
+    Mnemonic.CALL_INDIRECT: lambda ops: f"call {REG_NAMES[ops[0]]}",
+    Mnemonic.POP_REG: lambda ops: f"pop {REG_NAMES[ops[0]]}",
+    Mnemonic.PUSH_REG: lambda ops: f"push {REG_NAMES[ops[0]]}",
+    Mnemonic.PUSH_IMM32: lambda ops: f"push {_imm(ops[0])}",
+    Mnemonic.MOV_REG_IMM32: lambda ops: f"mov {REG_NAMES[ops[0]]}, {_imm(ops[1])}",
+    Mnemonic.MOV_REG_REG: lambda ops: f"mov {REG_NAMES[ops[0]]}, {REG_NAMES[ops[1]]}",
+    Mnemonic.XOR_REG_REG: lambda ops: f"xor {REG_NAMES[ops[0]]}, {REG_NAMES[ops[1]]}",
+    Mnemonic.ADD_ESP_IMM8: lambda ops: f"add esp, {_imm(ops[0])}",
+    Mnemonic.ADD_ESP_IMM32: lambda ops: f"add esp, {_imm(ops[0])}",
+    Mnemonic.LEAVE: lambda ops: "leave",
+    Mnemonic.NOP: lambda ops: "nop",
+    Mnemonic.INT_IMM8: lambda ops: f"int {_imm(ops[0])}",
+    Mnemonic.UNKNOWN: lambda ops: "(bad)",
+}
+
+
 def format_instruction(insn: Instruction) -> str:
     """Fixed debug rendering, roughly Intel syntax."""
-    m = insn.mnemonic
-    ops = insn.operands
-    if m is Mnemonic.RET:
-        return "ret"
-    if m is Mnemonic.RET_IMM16:
-        return f"ret {_imm(ops[0])}"
-    if m is Mnemonic.JMP_INDIRECT:
-        return f"jmp {REG_NAMES[ops[0]]}"
-    if m is Mnemonic.CALL_INDIRECT:
-        return f"call {REG_NAMES[ops[0]]}"
-    if m is Mnemonic.POP_REG:
-        return f"pop {REG_NAMES[ops[0]]}"
-    if m is Mnemonic.PUSH_REG:
-        return f"push {REG_NAMES[ops[0]]}"
-    if m is Mnemonic.PUSH_IMM32:
-        return f"push {_imm(ops[0])}"
-    if m is Mnemonic.MOV_REG_IMM32:
-        return f"mov {REG_NAMES[ops[0]]}, {_imm(ops[1])}"
-    if m in (Mnemonic.MOV_REG_REG, Mnemonic.XOR_REG_REG):
-        op = "mov" if m is Mnemonic.MOV_REG_REG else "xor"
-        return f"{op} {REG_NAMES[ops[0]]}, {REG_NAMES[ops[1]]}"
-    if m in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
-        return f"add esp, {_imm(ops[0])}"
-    if m is Mnemonic.LEAVE:
-        return "leave"
-    if m is Mnemonic.NOP:
-        return "nop"
-    if m is Mnemonic.INT_IMM8:
-        return f"int {_imm(ops[0])}"
-    return "(bad)"
+    return _TEXT[insn.mnemonic](insn.operands)
+
+
+def format_encoding(enc: bytes) -> str:
+    """``format_instruction(decode_one(enc, 0))`` for bytes that encode exactly
+    one instruction of the subset, without building the :class:`Instruction`."""
+    for rule in _RULES_BY_FIRST[enc[0]]:
+        second = rule.second
+        if rule.length == len(enc) and (second is None or second[0] <= enc[1] <= second[1]):
+            return _TEXT[rule.mnemonic](_OPERANDS[rule.mnemonic](enc, 0, rule))
+    raise ValueError(f"{enc.hex()} is not one instruction of the subset")

@@ -6,12 +6,15 @@ through :mod:`ropforge.kernels`; this module owns the object model, the
 dedup by bytes, the classifier, and the byte search for the cleanup
 gadget the chain planner asks for.
 
-A listing reads each unique gadget from its bytes alone.  Its text is its
-first instruction's text, then the text of the gadget that starts at its
-second instruction: that suffix is itself a unique gadget, listed already.
-Its class is a byte pattern read through the same byte-class table the
-cleanup search uses.  The decoded :class:`Gadget` is built only when asked
-for.
+A listing is one pass over the valid windows, as ``(vaddr, bytes)`` rows in
+address order.  Each unique gadget's text is its first instruction's text,
+then the text of the gadget that starts at its second instruction: that
+suffix is itself a gadget, at a higher address of the same section, so
+walking the rows down from the highest address meets it first.  The first
+instruction's length comes from its first byte, and each distinct encoding
+is rendered once, from its bytes.  A gadget's class is a byte pattern read
+through the same byte-class table the cleanup search uses.  The per-gadget
+entries, and the decoded :class:`Gadget`, are built only when asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .disasm import (
@@ -27,8 +31,8 @@ from .disasm import (
     FreeBranchKind,
     Instruction,
     Mnemonic,
-    decode_one,
     decode_window,
+    format_encoding,
     format_instruction,
     free_branch_kind,
 )
@@ -48,6 +52,10 @@ _CLEANUP_POP_BYTES = bytes(_POP_FIRST + r for r in sorted(CLEANUP_POP_REGS))
 _CLEANUP_CLASS = bytes(
     ord("p") if b in _CLEANUP_POP_BYTES else ord("r") if b == _RET_FIRST else ord(".")
     for b in range(256)
+)
+# Encoded length by first byte: every first byte of the rule table has one.
+_FIRST_LENGTH = bytes(
+    next((r.length for r in RULES if r.first[0] <= b <= r.first[1]), 0) for b in range(256)
 )
 # add esp, imm: the opcode and ModRM bytes, and the length with the immediate.
 _PIVOT_LENGTH = {
@@ -97,7 +105,7 @@ class GadgetEntry:
 
     @functools.cached_property
     def gclass(self) -> GadgetClass:
-        return _classify_bytes(self.data)
+        return classify_bytes(self.data)
 
     @functools.cached_property
     def gadget(self) -> Gadget:
@@ -111,7 +119,7 @@ def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
     return Gadget(vaddr=vaddr, insns=tuple(insns), terminator=free_branch_kind(insns[-1]), data=raw)
 
 
-def _classify_bytes(raw: bytes) -> GadgetClass:
+def classify_bytes(raw: bytes) -> GadgetClass:
     """Class of a decodable window, from its bytes: ``p^k r`` (see
     ``_CLEANUP_CLASS``) is pop_ret(k), ``r`` is ret_only, ``83 c4 ib c3`` and
     ``81 c4 id c3`` are stack_pivot with the signed immediate."""
@@ -129,7 +137,7 @@ def _classify_bytes(raw: bytes) -> GadgetClass:
 
 def classify(g: Gadget) -> GadgetClass:
     """Class of ``g``, read from its bytes."""
-    return _classify_bytes(g.data)
+    return classify_bytes(g.data)
 
 
 def _cleanup_views(image: BinaryImage) -> list[tuple[Section, bytes]]:
@@ -176,16 +184,46 @@ def find_pop_ret(
     return _lowest_pop_ret(_cleanup_views(image), arity, bad_bytes)
 
 
+class GadgetListing(Sequence[GadgetEntry]):
+    """The unique gadgets of an image, ordered by bytes, and every address
+    each occurs at.
+
+    ``rows`` holds each occurrence as ``(vaddr, bytes)``, ascending by address
+    and, at one address, by bytes; ``texts`` maps each unique gadget's bytes
+    to its text.  The :class:`GadgetEntry` tuple is built on first access.
+    """
+
+    def __init__(self, rows: list[tuple[int, bytes]], texts: dict[bytes, str]):
+        self.rows = rows
+        self.texts = texts
+
+    @functools.cached_property
+    def entries(self) -> tuple[GadgetEntry, ...]:
+        addrs: dict[bytes, list[int]] = {raw: [] for raw in sorted(self.texts)}
+        for vaddr, raw in self.rows:
+            addrs[raw].append(vaddr)
+        return tuple(GadgetEntry(raw, tuple(a), self.texts[raw]) for raw, a in addrs.items())
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index):
+        return self.entries[index]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+
 def enumerate_gadgets(
     image: BinaryImage,
     max_insns: int = DEFAULT_MAX_INSNS,
     window_back: int = DEFAULT_WINDOW_BACK,
-) -> tuple[GadgetEntry, ...]:
+) -> GadgetListing:
     """Collect every gadget of at most ``max_insns`` instructions.
 
     For each free-branch terminator, window starts are tried up to
     ``window_back`` bytes before it; valid windows are deduplicated by byte
-    content, keeping all addresses.  Output order is by gadget bytes, so the
+    content, keeping all addresses.  Entry order is by gadget bytes, so the
     result is deterministic regardless of section order.
     """
     if max_insns < 1:
@@ -195,21 +233,36 @@ def enumerate_gadgets(
 
     from . import kernels  # numpy loads only when gadgets are listed
 
-    occurrences: dict[bytes, set[int]] = {}
-    for section in image.executable_sections():
-        for start, end in kernels.scan_gadget_windows(section.data, window_back, max_insns):
-            raw = section.data[start:end]
-            occurrences.setdefault(raw, set()).add(section.vaddr + start)
+    # Greedy decode makes at most one window per start, so each section's
+    # windows ascend by address; sections in address order that do not
+    # overlap concatenate in order.
+    sections = sorted(image.executable_sections(), key=lambda s: s.vaddr)
+    rows: list[tuple[int, bytes]] = []
+    for s in sections:
+        data, base = s.data, s.vaddr
+        windows = kernels.scan_gadget_windows(data, window_back, max_insns)
+        rows += [(base + start, data[start:end]) for start, end in windows]
+    if any(a.vaddr + a.size > b.vaddr for a, b in zip(sections, sections[1:])):
+        # Overlapping sections: equal addresses list by bytes, and an
+        # occurrence two sections share is listed once.
+        rows = sorted(set(rows))
 
-    # The window from a valid window's second instruction to its end is valid
-    # behind the same terminator (or, when it starts past that terminator,
-    # behind the free branch it ends in), so it is a key here too: shorter
-    # keys first, each text is its first instruction's text plus its suffix's.
+    # The window from a gadget's second instruction to its end is a gadget of
+    # the same section at a higher address (behind the same terminator, or,
+    # when it starts past that terminator, behind the free branch it ends
+    # in), so walking the rows down from the highest address meets each
+    # suffix before the gadgets that end in it.  A valid window's first
+    # instruction is known, so its first byte gives its length; each
+    # distinct encoding is rendered once.
     texts: dict[bytes, str] = {}
-    for raw in sorted(occurrences, key=len):
-        insn = decode_one(raw, 0)
-        text = format_instruction(insn)
-        texts[raw] = f"{text} ; {texts[raw[insn.length :]]}" if insn.length < len(raw) else text
-    return tuple(
-        GadgetEntry(raw, tuple(sorted(occurrences[raw])), texts[raw]) for raw in sorted(occurrences)
-    )
+    heads: dict[bytes, str] = {}
+    for _, raw in reversed(rows):
+        if raw in texts:
+            continue
+        n = _FIRST_LENGTH[raw[0]]
+        enc = raw[:n]
+        head = heads.get(enc)
+        if head is None:
+            head = heads[enc] = format_encoding(enc)
+        texts[raw] = f"{head} ; {texts[raw[n:]]}" if n < len(raw) else head
+    return GadgetListing(rows, texts)

@@ -491,6 +491,46 @@ def test_gadgets_listing_matches_brute_force_over_two_sections(tmp_path, capsys,
     assert objects
 
 
+def test_gadgets_listing_over_overlapping_sections(tmp_path, capsys, monkeypatch):
+    # .b starts inside .a, so several addresses hold two gadgets: they list in
+    # byte order, and a copy of .a adds no row
+    a = (0x08048000, b"\x90\x58\xc3\xcc\x5e\x5f\xc3\x05\xc3\x00\x00\x00\xff\xe0")
+    b = (0x08048004, b"\x58\xc3\xcc\x83\xc4\x08\xc3\xcc\x90\x58\xc3\xff\xd1\x5b\xc3")
+    sections = [a, b]
+    by_address_then_bytes = sorted(
+        _oracle_listing(sections, as_json=True),
+        key=lambda o: (o["addr"], bytes.fromhex(o["bytes_hex"])),
+    )
+    addrs = [o["addr"] for o in by_address_then_bytes]
+    assert len(set(addrs)) < len(addrs)
+    copy = SectionSpec(".a_copy", *a, "ax")
+    for name, specs in (
+        ("overlap", [SectionSpec(".b", *b, "ax"), SectionSpec(".a", *a, "ax")]),
+        ("overlap_copy", [SectionSpec(".b", *b, "ax"), SectionSpec(".a", *a, "ax"), copy]),
+    ):
+        binary = tmp_path / name
+        binary.write_bytes(build_elf(specs))
+        monkeypatch.setenv("ROPFORGE_COLOR", "0")
+        assert main(["gadgets", str(binary), "--json"]) == 0
+        objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert objects == by_address_then_bytes
+
+        assert main(["gadgets", str(binary), "--json", "--class", "pop_ret"]) == 0
+        objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert objects == [o for o in by_address_then_bytes if o["class"].startswith("pop_ret")]
+
+        for color, (before, after) in (("0", ("", "")), ("1", ("\x1b[36m", "\x1b[0m"))):
+            monkeypatch.setenv("ROPFORGE_COLOR", color)
+            assert main(["gadgets", str(binary)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            expected = _oracle_listing(sections, color=color == "1")
+            assert sorted(lines[:-1]) == sorted(expected)
+            assert lines == [
+                f"{before}{o['addr']}{after}: {' ; '.join(o['insns'])}"
+                for o in by_address_then_bytes
+            ] + [f"{len(expected)} gadgets"]
+
+
 def test_gadgets_listing_decodes_no_window(demo_binary, demo_image, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the listing decoded a whole window")

@@ -1,14 +1,16 @@
 """Decoder unit tests, including exhaustive agreement with objdump."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ropforge.disasm import (
     FREE_BRANCH_LENGTH,
+    RULES,
     FreeBranchKind,
     Mnemonic,
     decode_one,
     decode_window,
+    format_encoding,
     format_instruction,
     free_branch_kind,
 )
@@ -106,3 +108,29 @@ def test_window_lengths_tile_exactly(data):
         for insn, pos in zip(insns, positions):
             assert pos == expect
             expect += insn.length
+
+
+def _encodings(rule):
+    """Bytes of one instruction of ``rule``: any opcode and ModRM byte it
+    admits, then any immediate."""
+    fixed = [st.integers(*rule.first)] + ([st.integers(*rule.second)] if rule.second else [])
+    size = rule.length - len(fixed)
+    return st.tuples(st.tuples(*fixed).map(bytes), st.binary(min_size=size, max_size=size)).map(
+        b"".join
+    )
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r.first[0]:02x}-{r.mnemonic.value}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_format_encoding_matches_format_instruction(rule, data):
+    enc = data.draw(_encodings(rule))
+    insn = decode_one(enc, 0)
+    assert (insn.mnemonic, insn.length) == (rule.mnemonic, len(enc))
+    assert format_encoding(enc) == format_instruction(insn)
+
+
+@pytest.mark.parametrize("raw", [b"\x0f", b"\xc2\x08", b"\x58\xc3", b"\xff\xc0", b"\x83\xc5\x08"])
+def test_format_encoding_rejects_other_bytes(raw):
+    with pytest.raises(ValueError):
+        format_encoding(raw)

@@ -12,7 +12,7 @@ import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET, insn_text
 from ropforge import chain, gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
-from ropforge.disasm import FreeBranchKind, decode_window
+from ropforge.disasm import RULES, FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
 from ropforge.errors import MissingCleanupGadgetError
 from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
@@ -240,6 +240,47 @@ def test_entries_match_their_decode_on_fixture(demo_image):
 def test_entries_match_their_decode_random(img, max_insns, window_back):
     for e in enumerate_gadgets(img, max_insns=max_insns, window_back=window_back):
         _assert_entry_matches_its_decode(e)
+
+
+@st.composite
+def overlapping_images(draw):
+    """Two or three sections of instruction text up to 24 bytes apart, so
+    that they overlap, in any order."""
+    specs = [
+        SectionSpec(f".t{i}", 0x08048000 + draw(st.integers(0, 24)), draw(insn_text), "ax")
+        for i in range(draw(st.integers(2, 3)))
+    ]
+    return load_image(build_elf(draw(st.permutations(specs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(pop_heavy_images(insn_text), overlapping_images()))
+def test_listing_order_and_addresses(img):
+    # entries ascend by bytes, each entry's addresses ascend, and the rows
+    # ascend by address then bytes, one per occurrence the sections hold
+    listing = enumerate_gadgets(img)
+    assert all(a.data < b.data for a, b in zip(listing, listing[1:]))
+    assert all(a < b for e in listing for a, b in zip(e.addrs, e.addrs[1:]))
+    assert all(a < b for a, b in zip(listing.rows, listing.rows[1:]))
+    oracle: dict[bytes, set[int]] = {}
+    for s in img.executable_sections():
+        for raw, addrs in oracle_bruteforce.brute_force_gadget_map(s.data, s.vaddr, 20, 5).items():
+            oracle.setdefault(raw, set()).update(addrs)
+    assert len(listing) == len(oracle)
+    assert {e.data: e.addrs for e in listing} == {raw: tuple(sorted(a)) for raw, a in oracle.items()}
+    assert sorted(listing.rows) == sorted((a, raw) for raw, addrs in oracle.items() for a in addrs)
+    for e in listing:
+        assert e.text == e.gadget.render()
+
+
+def test_every_first_byte_has_one_length():
+    # the listing reads a gadget's first instruction length off its first byte
+    lengths: dict[int, set[int]] = {}
+    for rule in RULES:
+        for b in range(rule.first[0], rule.first[1] + 1):
+            lengths.setdefault(b, set()).add(rule.length)
+    assert all(len(n) == 1 for n in lengths.values())
+    assert list(gadgets._FIRST_LENGTH) == [min(lengths.get(b, {0})) for b in range(256)]
 
 
 @settings(max_examples=150, deadline=None)
