@@ -105,9 +105,10 @@ class Rule:
     mnemonic: Mnemonic
 
 
-# The subset, written once: the decoder and the vectorized scanner in
-# ropforge.kernels both read it.  ModRM 0xc0-0xff is mod=11 (register forms);
-# ff d0-d7 is /2 and ff e0-e7 is /4, both mod=11; 83/81 c4 is /0 on esp.
+# The subset, written once: RULE_AT below turns it into the one byte-pair lookup
+# that the decoder, format_encoding and the vectorized scanner in ropforge.kernels
+# all read.  ModRM 0xc0-0xff is mod=11 (register forms); ff d0-d7 is /2 and
+# ff e0-e7 is /4, both mod=11; 83/81 c4 is /0 on esp.
 RULES = (
     Rule((0xC3, 0xC3), None, 1, Mnemonic.RET),
     Rule((0xC9, 0xC9), None, 1, Mnemonic.LEAVE),
@@ -133,10 +134,26 @@ FREE_BRANCH_LENGTH = {
     kind: next(r.length for r in RULES if r.mnemonic is m) for m, kind in FREE_BRANCH_OF.items()
 }
 
-# Rules by first byte, for the decoder's lookup.
-_RULES_BY_FIRST: dict[int, tuple[Rule, ...]] = {
-    b: tuple(r for r in RULES if r.first[0] <= b <= r.first[1]) for b in range(256)
-}
+
+def _rule_at() -> bytes:
+    """``RULE_AT[first << 8 | second]``: the index in ``RULE_OF`` of the rule
+    that byte pair selects, 0 for none.
+
+    One entry per pair is enough because the rules are disjoint (no pair lies
+    in two rules' ranges), and a missing second byte may read as 0 because
+    every rule that reads the second byte is at least 2 bytes long, so it
+    cannot fit where that byte is missing.
+    """
+    table = bytearray(1 << 16)
+    for index, rule in enumerate(RULES, 1):
+        lo, hi = rule.second or (0, 0xFF)
+        for first in range(rule.first[0], rule.first[1] + 1):
+            table[first << 8 | lo : (first << 8 | hi) + 1] = bytes([index]) * (hi - lo + 1)
+    return bytes(table)
+
+
+RULE_AT = _rule_at()
+RULE_OF = (None, *RULES)
 
 
 def _u16(data: bytes, at: int) -> int:
@@ -184,16 +201,12 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     n = len(data)
     if not 0 <= offset < n:
         raise IndexError(f"offset {offset} outside buffer of {n} bytes")
-    for rule in _RULES_BY_FIRST[data[offset]]:
-        if offset + rule.length > n:
-            continue
-        if rule.second is not None:
-            lo, hi = rule.second
-            if not lo <= data[offset + 1] <= hi:
-                continue
-        operands = _OPERANDS[rule.mnemonic](data, offset, rule)
-        return Instruction(vaddr, rule.length, rule.mnemonic, operands)
-    return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
+    second = data[offset + 1] if offset + 1 < n else 0
+    rule = RULE_OF[RULE_AT[data[offset] << 8 | second]]
+    if rule is None or offset + rule.length > n:
+        return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
+    operands = _OPERANDS[rule.mnemonic](data, offset, rule)
+    return Instruction(vaddr, rule.length, rule.mnemonic, operands)
 
 
 def decode_window(
@@ -255,8 +268,8 @@ def format_instruction(insn: Instruction) -> str:
 def format_encoding(enc: bytes) -> str:
     """``format_instruction(decode_one(enc, 0))`` for bytes that encode exactly
     one instruction of the subset, without building the :class:`Instruction`."""
-    for rule in _RULES_BY_FIRST[enc[0]]:
-        second = rule.second
-        if rule.length == len(enc) and (second is None or second[0] <= enc[1] <= second[1]):
-            return _TEXT[rule.mnemonic](_OPERANDS[rule.mnemonic](enc, 0, rule))
-    raise ValueError(f"{enc.hex()} is not one instruction of the subset")
+    second = enc[1] if len(enc) > 1 else 0
+    rule = RULE_OF[RULE_AT[enc[0] << 8 | second]]
+    if rule is None or rule.length != len(enc):
+        raise ValueError(f"{enc.hex()} is not one instruction of the subset")
+    return _TEXT[rule.mnemonic](_OPERANDS[rule.mnemonic](enc, 0, rule))

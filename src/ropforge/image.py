@@ -8,8 +8,9 @@ addresses are used as-is, i.e. the ASLR-off model.  The resulting
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AmbiguousSymbolError,
@@ -66,15 +67,13 @@ class BinaryImage:
     symbols: tuple[Symbol, ...]
     bitness: int = 32
     endianness: str = "little"
-    _by_name: dict[str, list[Symbol]] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self):
+    @functools.cached_property
+    def _by_name(self) -> dict[str, list[Symbol]]:
         index: dict[str, list[Symbol]] = {}
         for sym in self.symbols:
             index.setdefault(sym.name, []).append(sym)
-        object.__setattr__(self, "_by_name", index)
+        return index
 
     def executable_sections(self) -> tuple[Section, ...]:
         return tuple(s for s in self.sections if s.executable)
@@ -246,13 +245,13 @@ def read_virtual(image: BinaryImage, vaddr: int, length: int) -> bytes:
     """Read bytes from the single section covering [vaddr, vaddr+length)."""
     if length < 0:
         raise ValueError("negative length")
-    for s in image.sections:
-        if s.vaddr <= vaddr and vaddr + length <= s.vaddr + s.size:
-            off = vaddr - s.vaddr
-            return s.data[off : off + length]
-    raise OutOfRangeError(
-        f"[{vaddr:#x}, {vaddr + length:#x}) is unmapped or straddles sections"
-    )
+    s = image.section_at(vaddr, length)
+    if s is None:
+        raise OutOfRangeError(
+            f"[{vaddr:#x}, {vaddr + length:#x}) is unmapped or straddles sections"
+        )
+    off = vaddr - s.vaddr
+    return s.data[off : off + length]
 
 
 def stack_frame_displacement(image: BinaryImage, function: Symbol) -> int:

@@ -5,14 +5,13 @@ section bytes: finding every offset where a free-branch instruction decodes
 (byte granularity, aligned or not) and validating candidate decode windows
 behind each terminator (the backward-from-``ret`` scan of Shacham, CCS 2007).
 
-Both run on two per-offset ``uint8`` arrays built once per section from
-:data:`ropforge.disasm.RULES`: the encoded length and the class (normal,
-unknown, or a free-branch kind) of the instruction that decodes at each
-offset.  Rows keyed on the first byte alone become 256-entry lookup tables;
-the rows that also constrain the second byte are applied as masks to the
-offsets whose first byte needs one.  Window validation then walks every candidate start
-at once, one instruction per pass (``pos += length[pos]``), for at most
-``max_insns`` passes.
+Both run on two per-offset ``uint8`` arrays built once per section: the
+encoded length and the class (normal, unknown, or a free-branch kind) of the
+instruction that decodes at each offset.  They are two reads, over each
+offset's byte pair ``first << 8 | second``, of 65,536-entry tables built from
+:data:`ropforge.disasm.RULE_AT`, the lookup the decoder itself uses.  Window
+validation then walks every candidate start at once, one instruction per pass
+(``pos += length[pos]``), for at most ``max_insns`` passes.
 """
 
 from __future__ import annotations
@@ -20,44 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import disasm
-from .disasm import FreeBranchKind, Mnemonic
+from .disasm import FreeBranchKind
 
 # Instruction classes in the per-offset class array. Free-branch codes equal
 # the FreeBranchKind enum values.
 K_NORMAL = 0
 K_UNKNOWN = 0xFF
-_CLASS_OF = {m: K_NORMAL for m in Mnemonic}
-_CLASS_OF.update({m: int(k) for m, k in disasm.FREE_BRANCH_OF.items()})
-_CLASS_OF[Mnemonic.UNKNOWN] = K_UNKNOWN
 
 # Terminators validated per block, which bounds the candidate arrays.
 _BLOCK = 1024
 
-_KIND_OF_CODE = {int(k): k for k in FreeBranchKind}
-
-
-def _first_byte_tables():
-    """256-entry (length, class) tables for the rows keyed on the first byte
-    alone, and a mask of the first bytes whose rows also read the second."""
-    length = np.ones(256, np.uint8)
-    klass = np.full(256, K_UNKNOWN, np.uint8)
-    keyed = np.zeros(256, bool)
-    for rule in disasm.RULES:
-        lo, hi = rule.first
-        if rule.second is None:
-            length[lo : hi + 1] = rule.length
-            klass[lo : hi + 1] = _CLASS_OF[rule.mnemonic]
-        else:
-            keyed[lo : hi + 1] = True
-    return length, klass, keyed
-
-
-_FIRST_LENGTH, _FIRST_CLASS, _KEYED = _first_byte_tables()
-_SECOND_BYTE_RULES = tuple(r for r in disasm.RULES if r.second is not None)
-
-
-def _in_range(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return arr == lo if lo == hi else (arr >= lo) & (arr <= hi)
+# Length and class of the instruction each byte pair starts; no rule is unknown, length 1.
+_RULE_AT = np.frombuffer(disasm.RULE_AT, np.uint8)
+_PAIR_LENGTH = np.array([1] + [r.length for r in disasm.RULES], np.uint8)[_RULE_AT]
+_PAIR_CLASS = np.array(
+    [K_UNKNOWN] + [disasm.FREE_BRANCH_OF.get(r.mnemonic, K_NORMAL) for r in disasm.RULES],
+    np.uint8,
+)[_RULE_AT]
 
 
 def length_class(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,17 +43,14 @@ def length_class(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Agrees with :func:`ropforge.disasm.decode_one` at every offset: an offset
     no rule matches, or whose encoding would run past the end of ``arr``, is
-    ``K_UNKNOWN`` with length 1.
+    ``K_UNKNOWN`` with length 1.  The last offset's missing second byte reads
+    as 0, as in the decoder.
     """
     n = len(arr)
-    length = _FIRST_LENGTH[arr]
-    klass = _FIRST_CLASS[arr]
-    at = np.flatnonzero(_KEYED[arr[:-1]])
-    first, second = arr[at], arr[at + 1]
-    for rule in _SECOND_BYTE_RULES:
-        hit = at[_in_range(first, *rule.first) & _in_range(second, *rule.second)]
-        length[hit] = rule.length
-        klass[hit] = _CLASS_OF[rule.mnemonic]
+    pair = arr.astype(np.uint16) << 8
+    pair[:-1] |= arr[1:]
+    length = _PAIR_LENGTH[pair]
+    klass = _PAIR_CLASS[pair]
     tail = np.arange(max(n - disasm.MAX_INSN_LEN + 1, 0), n)
     cut = tail[tail + length[tail] > n]
     length[cut] = 1
@@ -91,8 +66,7 @@ def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
     _, klass = length_class(np.frombuffer(data, dtype=np.uint8))
     offsets = _free_branch_offsets(klass)
-    kind_of = _KIND_OF_CODE
-    return [(o, kind_of[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
+    return [(o, FreeBranchKind(k)) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
 
 
 def _valid_windows(length, klass, terms, window_back, max_insns):

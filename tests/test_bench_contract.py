@@ -54,3 +54,12 @@ def test_benchmark_imports_from_ropforge_exist():
             continue
         found = hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}")
         assert found, f"{filename}: from {module_name} import {name}"
+
+
+def test_names_the_benchmark_reads_through_getattr_exist():
+    """run.py reads these with a default, so a missing one turns the
+    terminator metrics into zeros instead of failing the import check."""
+    from ropforge import gadgets, kernels
+
+    assert callable(getattr(kernels, "scan_free_branches", None))
+    assert type(getattr(gadgets, "DEFAULT_WINDOW_BACK", None)) is int

@@ -1,10 +1,14 @@
 """Decoder unit tests, including exhaustive agreement with objdump."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ropforge.disasm import (
     FREE_BRANCH_LENGTH,
+    RULE_AT,
+    RULE_OF,
     RULES,
     FreeBranchKind,
     Mnemonic,
@@ -16,6 +20,24 @@ from ropforge.disasm import (
 )
 
 import oracle_objdump
+
+
+def test_rule_at_selects_the_rule_holding_each_byte_pair():
+    """Every (first, second) pair selects the rule whose ranges hold it, else 0,
+    read off RULES alone: no decoder stands between the table and its rules."""
+    assert RULE_OF == (None, *RULES)
+    assert len(RULE_AT) == 1 << 16
+    wrong = []
+    for first, second in itertools.product(range(256), repeat=2):
+        holding = [
+            i
+            for i, r in enumerate(RULES, 1)
+            if r.first[0] <= first <= r.first[1]
+            and (r.second is None or r.second[0] <= second <= r.second[1])
+        ]
+        if RULE_AT[first << 8 | second] != (holding[0] if holding else 0):
+            wrong.append(f"{first:02x} {second:02x}")
+    assert not wrong, f"{len(wrong)} pairs select the wrong rule: {wrong[:10]}"
 
 
 def test_objdump_agreement_exhaustive():
@@ -130,7 +152,9 @@ def test_format_encoding_matches_format_instruction(rule, data):
     assert format_encoding(enc) == format_instruction(insn)
 
 
-@pytest.mark.parametrize("raw", [b"\x0f", b"\xc2\x08", b"\x58\xc3", b"\xff\xc0", b"\x83\xc5\x08"])
+@pytest.mark.parametrize(
+    "raw", [b"\x0f", b"\xc2\x08", b"\x58\xc3", b"\xff\xc0", b"\x83\xc5\x08", b"\xff", b"\x83"]
+)
 def test_format_encoding_rejects_other_bytes(raw):
     with pytest.raises(ValueError):
         format_encoding(raw)
