@@ -115,36 +115,31 @@ def _build_payload(resolved, image) -> Payload:
     return emit_payload(plan_chain(resolved.spec, image), pad_byte=resolved.pad_byte)
 
 
+# The three payload renderings, by format name.
+_RENDER = {
+    "raw": lambda data: data,
+    "hex": lambda data: data.hex().encode() + b"\n",
+    "escaped": lambda data: (
+        b"\\x" + data.hex(" ").replace(" ", "\\x").encode() if data else b""
+    ) + b"\n",
+}
+
+
 def _format_payload(payload: Payload, fmt: str) -> bytes:
-    if fmt == "raw":
-        return payload.data
-    if fmt == "hex":
-        return payload.data.hex().encode() + b"\n"
-    if fmt == "escaped":
-        data = payload.data
-        return (b"\\x" + data.hex(" ").replace(" ", "\\x").encode() if data else b"") + b"\n"
-    raise ChainFileError(f"unknown payload format {fmt!r}")
-
-
-# Hex digits read "h"; "\\", "x" and newline read as themselves; other bytes "?".
-# Comparing class strings matches ``(?:[0-9a-f]{2})*\n`` and ``(?:\\x[0-9a-f]{2})*\n``
-# without a regex group repeat, whose backtracking state takes gigabytes at 16 MiB.
-_TEXT_CLASS = bytes(
-    ord("h") if chr(c) in "0123456789abcdef" else c if chr(c) in "\\x\n" else ord("?")
-    for c in range(256)
-)
-_TEXT_UNIT = {"hex": b"hh", "escaped": b"\\xhh"}
+    return _RENDER[fmt](payload.data)
 
 
 def _read_payload(blob: bytes) -> tuple[bytes, str]:
-    """Inverse of :func:`_format_payload`: a file that is exactly a ``hex`` or
-    ``escaped`` rendering is decoded; anything else is raw payload bytes."""
-    classes = blob.translate(_TEXT_CLASS)
-    for fmt, unit in _TEXT_UNIT.items():
-        count, rest = divmod(len(blob) - 1, len(unit))
-        if not rest and classes == unit * count + b"\n":
-            return bytes.fromhex(blob[:-1].replace(b"\\x", b"").decode()), fmt
-    return blob, "raw"
+    """Inverse of :func:`_format_payload`: a file is decoded when ``hex`` or
+    ``escaped`` renders the decoded bytes back to exactly the file; any other
+    file is raw payload bytes."""
+    try:
+        data = bytes.fromhex(blob.replace(b"\\x", b"").decode())
+    except ValueError:  # UnicodeDecodeError included
+        return blob, "raw"
+    # ``hex`` spends 2 bytes per payload byte and ``escaped`` 4, each plus a newline.
+    fmt = "hex" if len(blob) == 2 * len(data) + 1 else "escaped"
+    return (data, fmt) if _RENDER[fmt](data) == blob else (blob, "raw")
 
 
 def _annotation_table(payload: Payload) -> list[str]:
@@ -169,17 +164,19 @@ def cmd_build(args) -> int:
 
     fmt = args.format or resolved.out_format
     rendered = _format_payload(payload, fmt)
-    annotations = _annotation_table(payload)
-    if args.out:
+    annotations = "\n".join(_annotation_table(payload))
+    violations = check_bad_bytes(payload, resolved.spec.bad_bytes)
+    refused = bool(violations) and not args.force
+    if args.out and not refused:
         Path(args.out).write_bytes(rendered)
-        print("\n".join(annotations))
+        print(annotations)
         print(f"wrote {len(payload.data)}-byte payload ({fmt}) to {args.out}")
     else:
-        print("\n".join(annotations), file=sys.stderr)
-        sys.stdout.buffer.write(rendered)
-        sys.stdout.buffer.flush()
+        print(annotations, file=sys.stderr)
+        if not refused:
+            sys.stdout.buffer.write(rendered)
+            sys.stdout.buffer.flush()
 
-    violations = check_bad_bytes(payload, resolved.spec.bad_bytes)
     if violations:
         color = _color_enabled()
         for offset, byte, role in violations:
@@ -187,9 +184,9 @@ def cmd_build(args) -> int:
                 _style(f"bad byte {byte:#04x} at offset {offset} ({role})", "31", color),
                 file=sys.stderr,
             )
-        if not args.force:
-            print("payload violates the bad-byte set (use --force to keep it)", file=sys.stderr)
-            return EXIT_BAD_BYTES
+    if refused:
+        print("payload violates the bad-byte set (use --force to keep it)", file=sys.stderr)
+        return EXIT_BAD_BYTES
     return EXIT_OK
 
 

@@ -82,14 +82,6 @@ class Instruction:
         return format_instruction(self)
 
 
-def _sign8(b: int) -> int:
-    return b - 0x100 if b >= 0x80 else b
-
-
-def _sign32(v: int) -> int:
-    return v - 0x1_0000_0000 if v >= 0x8000_0000 else v
-
-
 @dataclass(frozen=True)
 class Rule:
     """One encoding of the subset: byte ranges (inclusive), length, mnemonic.
@@ -156,12 +148,9 @@ RULE_AT = _rule_at()
 RULE_OF = (None, *RULES)
 
 
-def _u16(data: bytes, at: int) -> int:
-    return int.from_bytes(data[at : at + 2], "little")
-
-
-def _u32(data: bytes, at: int) -> int:
-    return int.from_bytes(data[at : at + 4], "little")
+def _le(data: bytes, at: int, size: int, signed: bool = False) -> int:
+    """The little-endian integer in ``data[at : at + size]``."""
+    return int.from_bytes(data[at : at + size], "little", signed=signed)
 
 
 def _modrm_pair(data: bytes, at: int, rule: Rule) -> tuple[int, int]:
@@ -176,16 +165,16 @@ def _modrm_pair(data: bytes, at: int, rule: Rule) -> tuple[int, int]:
 _OPERANDS = {
     Mnemonic.PUSH_REG: lambda d, o, r: (d[o] - r.first[0],),
     Mnemonic.POP_REG: lambda d, o, r: (d[o] - r.first[0],),
-    Mnemonic.RET_IMM16: lambda d, o, r: (_u16(d, o + 1),),
+    Mnemonic.RET_IMM16: lambda d, o, r: (_le(d, o + 1, 2),),
     Mnemonic.INT_IMM8: lambda d, o, r: (d[o + 1],),
-    Mnemonic.PUSH_IMM32: lambda d, o, r: (_u32(d, o + 1),),
-    Mnemonic.MOV_REG_IMM32: lambda d, o, r: (d[o] - r.first[0], _u32(d, o + 1)),
+    Mnemonic.PUSH_IMM32: lambda d, o, r: (_le(d, o + 1, 4),),
+    Mnemonic.MOV_REG_IMM32: lambda d, o, r: (d[o] - r.first[0], _le(d, o + 1, 4)),
     Mnemonic.MOV_REG_REG: _modrm_pair,
     Mnemonic.XOR_REG_REG: _modrm_pair,
     Mnemonic.CALL_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
     Mnemonic.JMP_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
-    Mnemonic.ADD_ESP_IMM8: lambda d, o, r: (_sign8(d[o + 2]),),
-    Mnemonic.ADD_ESP_IMM32: lambda d, o, r: (_sign32(_u32(d, o + 2)),),
+    Mnemonic.ADD_ESP_IMM8: lambda d, o, r: (_le(d, o + 2, 1, True),),
+    Mnemonic.ADD_ESP_IMM32: lambda d, o, r: (_le(d, o + 2, 4, True),),
     Mnemonic.RET: lambda d, o, r: (),
     Mnemonic.LEAVE: lambda d, o, r: (),
     Mnemonic.NOP: lambda d, o, r: (),

@@ -178,11 +178,11 @@ def load_image(raw: bytes) -> BinaryImage:
             )
         )
 
-    symbols = _parse_symbols(raw, headers, shstr, sections)
+    symbols = _parse_symbols(raw, headers, sections)
     return BinaryImage(entry_point=entry, sections=tuple(sections), symbols=tuple(symbols))
 
 
-def _parse_symbols(raw, headers, shstr, sections) -> list[Symbol]:
+def _parse_symbols(raw, headers, sections) -> list[Symbol]:
     def normalized_kind(kind: str, vaddr: int) -> str:
         if kind == "function":
             sec = next((s for s in sections if s.contains(vaddr) and s.executable), None)
@@ -218,16 +218,11 @@ def _parse_symbols(raw, headers, shstr, sections) -> list[Symbol]:
     # carries the local functions used as chain targets).  Same-name entries
     # at different addresses within one table survive and surface later as
     # AmbiguousSymbolError on lookup.
-    out: list[Symbol] = []
-    seen: set[tuple[str, int]] = set()
+    out: dict[tuple[str, int], Symbol] = {}
     static_names = {s.name for s in static}
     for sym in static + [d for d in dynamic if d.name not in static_names]:
-        key = (sym.name, sym.vaddr)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(sym)
-    return out
+        out.setdefault((sym.name, sym.vaddr), sym)
+    return list(out.values())
 
 
 def lookup_symbol(image: BinaryImage, name: str) -> Symbol:
@@ -272,15 +267,13 @@ def stack_frame_displacement(image: BinaryImage, function: Symbol) -> int:
             continue
         modrm = body[i + 1]
         mod, rm = modrm >> 6, modrm & 7
-        if rm != 5:  # frame base register (ebp) addressing only
+        # frame base register (ebp) addressing only, with a disp8 or a disp32
+        if rm != 5 or mod not in (1, 2):
             continue
-        if mod == 1:
-            disp = body[i + 2] - 0x100 if body[i + 2] >= 0x80 else body[i + 2]
-        elif mod == 2 and i + 6 <= len(body):
-            v = int.from_bytes(body[i + 2 : i + 6], "little")
-            disp = v - 0x1_0000_0000 if v >= 0x8000_0000 else v
-        else:
+        end = i + (3 if mod == 1 else 6)
+        if end > len(body):
             continue
+        disp = int.from_bytes(body[i + 2 : end], "little", signed=True)
         if disp < 0 and (best is None or disp < best):
             best = disp
     if best is None:

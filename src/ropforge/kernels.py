@@ -25,6 +25,7 @@ from .disasm import FreeBranchKind
 # the FreeBranchKind enum values.
 K_NORMAL = 0
 K_UNKNOWN = 0xFF
+_KIND_OF = (None, *FreeBranchKind)  # indexed by a free-branch code, 1-4
 
 # Terminators validated per block, which bounds the candidate arrays.
 _BLOCK = 1024
@@ -66,7 +67,7 @@ def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
     _, klass = length_class(np.frombuffer(data, dtype=np.uint8))
     offsets = _free_branch_offsets(klass)
-    return [(o, FreeBranchKind(k)) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
+    return [(o, _KIND_OF[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
 
 
 def _valid_windows(length, klass, terms, window_back, max_insns):

@@ -183,6 +183,23 @@ def test_build_bad_bytes_exit_code(demo_binary, tmp_path, capsys):
     assert main(["build", str(chain), "--force"]) == 0
 
 
+def test_build_refusal_writes_nothing(demo_binary, tmp_path, capsys):
+    # exit 4 keeps no payload: no --out file, empty stdout, the reasons on stderr
+    chain = tmp_path / "chain.rop"
+    chain.write_text(f"binary: {demo_binary}\nret_offset: 32\ncall: 0x0804200a\n")
+    out_file = tmp_path / "payload.bin"
+    for argv in (["build", str(chain), "--out", str(out_file)], ["build", str(chain)]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert not out_file.exists()
+        assert captured.out == ""
+        assert "0x0020  0a200408  func_addr" in captured.err
+        assert "bad byte 0x0a" in captured.err
+        assert captured.err.endswith("(use --force to keep it)\n")
+    assert main(["build", str(chain), "--out", str(out_file), "--force"]) == 0
+    assert out_file.exists() and "wrote" in capsys.readouterr().out
+
+
 def test_build_bad_bytes_can_be_disabled(demo_binary, tmp_path):
     chain = tmp_path / "chain.rop"
     chain.write_text(

@@ -58,6 +58,18 @@ def test_objdump_agreement_exhaustive():
         (b"\xff\xe0", Mnemonic.JMP_INDIRECT, 2, (0,)),
         (b"\xff\xd1", Mnemonic.CALL_INDIRECT, 2, (1,)),
         (b"\x83\xc4\xf0", Mnemonic.ADD_ESP_IMM8, 3, (-16,)),
+        # Immediates at each sign boundary: only these pin ``signed=``, since the
+        # objdump oracle compares operands modulo 2**32.
+        (b"\xc2\xff\xff", Mnemonic.RET_IMM16, 3, (0xFFFF,)),
+        (b"\xcd\xff", Mnemonic.INT_IMM8, 2, (0xFF,)),
+        (b"\x68\x00\x00\x00\x80", Mnemonic.PUSH_IMM32, 5, (0x80000000,)),
+        (b"\x68\xff\xff\xff\xff", Mnemonic.PUSH_IMM32, 5, (0xFFFFFFFF,)),
+        (b"\xb9\x00\x00\x00\x80", Mnemonic.MOV_REG_IMM32, 5, (1, 0x80000000)),
+        (b"\xbf\xff\xff\xff\xff", Mnemonic.MOV_REG_IMM32, 5, (7, 0xFFFFFFFF)),
+        (b"\x83\xc4\x7f", Mnemonic.ADD_ESP_IMM8, 3, (0x7F,)),
+        (b"\x83\xc4\x80", Mnemonic.ADD_ESP_IMM8, 3, (-0x80,)),
+        (b"\x81\xc4\xff\xff\xff\x7f", Mnemonic.ADD_ESP_IMM32, 6, (0x7FFFFFFF,)),
+        (b"\x81\xc4\x00\x00\x00\x80", Mnemonic.ADD_ESP_IMM32, 6, (-0x80000000,)),
     ],
 )
 def test_decode_examples(raw, mnemonic, length, operands):
@@ -66,6 +78,24 @@ def test_decode_examples(raw, mnemonic, length, operands):
     assert insn.length == length
     assert insn.operands == operands
     assert insn.vaddr == 0x1000
+
+
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        (b"\xc2\xff\xff", "ret 0xffff"),
+        (b"\xcd\xff", "int 0xff"),
+        (b"\x68\x00\x00\x00\x80", "push 0x80000000"),
+        (b"\x68\xff\xff\xff\xff", "push 0xffffffff"),
+        (b"\xbf\xff\xff\xff\xff", "mov edi, 0xffffffff"),
+        (b"\x83\xc4\x7f", "add esp, 0x7f"),
+        (b"\x83\xc4\x80", "add esp, -0x80"),
+        (b"\x81\xc4\xff\xff\xff\x7f", "add esp, 0x7fffffff"),
+        (b"\x81\xc4\x00\x00\x00\x80", "add esp, -0x80000000"),
+    ],
+)
+def test_format_encoding_at_sign_boundaries(raw, text):
+    assert format_encoding(raw) == format_instruction(decode_one(raw, 0)) == text
 
 
 def test_truncated_multibyte_is_unknown():

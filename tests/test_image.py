@@ -168,6 +168,36 @@ def test_frame_displacement_most_negative_wins(demo_image):
     assert stack_frame_displacement(demo_image, two) == 0x28
 
 
+def _frame_image(body: bytes):
+    raw = build_elf(
+        [SectionSpec(".text", 0x08048000, body, "ax")],
+        symbols=[SymbolSpec("f", 0x08048000, len(body))],
+    )
+    img = load_image(raw)
+    return img, lookup_symbol(img, "f")
+
+
+def test_frame_displacement_disp32_wins_over_disp8():
+    # lea eax, [ebp-0x10] (disp8) then lea eax, [ebp-0x100] (disp32)
+    img, f = _frame_image(b"\x8d\x45\xf0" + b"\x8d\x85\x00\xff\xff\xff" + b"\xc3")
+    assert stack_frame_displacement(img, f) == 0x100
+
+
+def test_frame_displacement_skips_a_disp32_cut_off_by_the_body():
+    # the disp32 lea's last byte lies past the end of the function body
+    img, f = _frame_image(b"\x8d\x45\xf0" + b"\x8d\x85\x00\xff\xff")
+    assert stack_frame_displacement(img, f) == 0x10
+
+
+def test_frame_displacement_ignores_positive_displacements():
+    # [ebp+0x7f] and [ebp+0x1000] are arguments, not a buffer below the frame
+    img, f = _frame_image(b"\x8d\x45\x7f" + b"\x8d\x85\x00\x10\x00\x00" + b"\xc3")
+    with pytest.raises(NoCandidateError):
+        stack_frame_displacement(img, f)
+    img, f = _frame_image(b"\x8d\x45\x7f" + b"\x8d\x45\xf8" + b"\x8d\x85\x00\x10\x00\x00")
+    assert stack_frame_displacement(img, f) == 8
+
+
 def test_frame_displacement_rejects_non_function(demo_image):
     with pytest.raises(ValueError):
         stack_frame_displacement(demo_image, lookup_symbol(demo_image, "str"))
