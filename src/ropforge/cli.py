@@ -115,13 +115,26 @@ def _build_payload(resolved, image) -> Payload:
     return emit_payload(plan_chain(resolved.spec, image), pad_byte=resolved.pad_byte)
 
 
+# The hex digit of each byte value's high and of its low nibble.
+_HIGH_DIGIT = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
+_LOW_DIGIT = b"0123456789abcdef" * 16
+
+
+def _render_escaped(data: bytes) -> bytearray:
+    """``\\xHH`` per payload byte, then a newline, written in place: one
+    4-bytes-per-byte buffer and one payload-sized translation at a time."""
+    out = bytearray(b"\\x00") * len(data)
+    out[2::4] = data.translate(_HIGH_DIGIT)
+    out[3::4] = data.translate(_LOW_DIGIT)
+    out += b"\n"
+    return out
+
+
 # The three payload renderings, by format name.
 _RENDER = {
     "raw": lambda data: data,
     "hex": lambda data: data.hex().encode() + b"\n",
-    "escaped": lambda data: (
-        b"\\x" + data.hex(" ").replace(" ", "\\x").encode() if data else b""
-    ) + b"\n",
+    "escaped": _render_escaped,
 }
 
 
@@ -129,16 +142,26 @@ def _format_payload(payload: Payload, fmt: str) -> bytes:
     return _RENDER[fmt](payload.data)
 
 
+def _escaped_digits(blob: bytes) -> bytearray:
+    """The two characters after each ``\\x`` of a ``4n + 1``-byte file."""
+    digits = bytearray(len(blob) // 2)
+    digits[0::2], digits[1::2] = blob[2::4], blob[3::4]
+    return digits
+
+
 def _read_payload(blob: bytes) -> tuple[bytes, str]:
     """Inverse of :func:`_format_payload`: a file is decoded when ``hex`` or
     ``escaped`` renders the decoded bytes back to exactly the file; any other
     file is raw payload bytes."""
+    # A hex rendering is 2n + 1 bytes and an escaped one 4n + 1 starting with
+    # ``\\x``, each ending in a newline; no other file is decoded.
+    if len(blob) % 2 == 0 or not blob.endswith(b"\n"):
+        return blob, "raw"
+    fmt = "escaped" if blob.startswith(b"\\x") else "hex"
     try:
-        data = bytes.fromhex(blob.replace(b"\\x", b"").decode())
+        data = bytes.fromhex((_escaped_digits(blob) if fmt == "escaped" else blob).decode())
     except ValueError:  # UnicodeDecodeError included
         return blob, "raw"
-    # ``hex`` spends 2 bytes per payload byte and ``escaped`` 4, each plus a newline.
-    fmt = "hex" if len(blob) == 2 * len(data) + 1 else "escaped"
     return (data, fmt) if _RENDER[fmt](data) == blob else (blob, "raw")
 
 

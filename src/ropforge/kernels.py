@@ -2,16 +2,22 @@
 
 Gadget discovery spends essentially all of its time in two inner loops over
 section bytes: finding every offset where a free-branch instruction decodes
-(byte granularity, aligned or not) and validating candidate decode windows
-behind each terminator (the backward-from-``ret`` scan of Shacham, CCS 2007).
+(byte granularity, aligned or not) and finding the decode windows that end in
+one (the backward-from-``ret`` scan of Shacham, CCS 2007).
 
 Both run on two per-offset ``uint8`` arrays built once per section: the
 encoded length and the class (normal, unknown, or a free-branch kind) of the
 instruction that decodes at each offset.  They are two reads, over each
 offset's byte pair ``first << 8 | second``, of 65,536-entry tables built from
-:data:`ropforge.disasm.RULE_AT`, the lookup the decoder itself uses.  Window
-validation then walks every candidate start at once, one instruction per pass
-(``pos += length[pos]``), for at most ``max_insns`` passes.
+:data:`ropforge.disasm.RULE_AT`, the lookup the decoder itself uses.
+
+Windows are found backward.  Every terminator starts a one-instruction window;
+a window starting at ``q`` grows to ``q - k`` when a normal instruction of
+length ``k`` decodes there.  Greedy decoding gives each start exactly one
+forward path, so a window's suffix from its second instruction is its parent
+in a trie rooted at the terminators, and one numpy step per level, for at most
+``max_insns - 1`` levels, reaches every valid start exactly once: no candidate
+is tried twice and no window needs de-duplicating.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ K_NORMAL = 0
 K_UNKNOWN = 0xFF
 _KIND_OF = (None, *FreeBranchKind)  # indexed by a free-branch code, 1-4
 
-# Terminators validated per block, which bounds the candidate arrays.
-_BLOCK = 1024
+# The steps of the backward window search: lengths of the non-free-branch rules.
+_NORMAL_LENGTHS = sorted(
+    {r.length for r in disasm.RULES if r.mnemonic not in disasm.FREE_BRANCH_OF}
+)
 
 # Length and class of the instruction each byte pair starts; no rule is unknown, length 1.
 _RULE_AT = np.frombuffer(disasm.RULE_AT, np.uint8)
@@ -70,63 +78,51 @@ def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     return [(o, _KIND_OF[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
 
 
-def _valid_windows(length, klass, terms, window_back, max_insns):
-    """(start, end) int32 arrays of the valid windows behind ``terms``.
-
-    Valid: greedy decode from ``start`` lands exactly on ``end`` within
-    ``max_insns`` known instructions, the last a free branch and no earlier
-    one.  The terminator at t closes the window at ``t + length[t]``; starts
-    range over [t - window_back, t].
-    """
-    back = np.arange(window_back + 1, dtype=np.int32)
-    start = (terms[:, None] - back).ravel()
-    end = np.repeat(terms + length[terms], window_back + 1)
-    # Starts before the section or on an unknown byte never validate.
-    keep = start >= 0
-    start, end = start[keep], end[keep]
-    keep = klass[start] != K_UNKNOWN
-    start, end = start[keep], end[keep]
-    pos = start
-    found_start, found_end = [], []
-    for _ in range(max_insns):
-        c = klass[pos]
-        nxt = pos + length[pos]
-        landed = (nxt == end) & (c != K_NORMAL) & (c != K_UNKNOWN)
-        found_start.append(start[landed])
-        found_end.append(end[landed])
-        # Unknown, overrunning and interior free-branch instructions all end
-        # the walk unaccepted, as does landing on ``end`` with a normal one.
-        going = (nxt < end) & (c == K_NORMAL)
-        start, end, pos = start[going], end[going], nxt[going]
-        if not len(pos):
+def _backward_windows(arr, window_back, max_insns):
+    """(start, end) arrays of every valid window in ``arr``, in no order."""
+    n = len(arr)
+    length, klass = length_class(arr)
+    normal = np.where(klass == K_NORMAL, length, 0)
+    start = _free_branch_offsets(klass)
+    end = start + length[start]
+    # The terminators closing one end start 1 to 3 bytes before it, so for
+    # window_back >= 1 their ranges [t - window_back, t] join into one, bounded
+    # below by the lowest of them.  min() keeps the subtraction in range: a
+    # start more than n bytes back lies before offset 0 anyway.
+    lowest = np.full(n + 1, n, np.int32)
+    np.minimum.at(lowest, end, start)
+    bound = np.maximum(lowest - min(window_back, n), 0)[end]
+    starts, ends = [start], [end]
+    for _ in range(max_insns - 1):
+        # One more instruction in front: a normal one of length k at q - k.
+        # take(mode="clip") reads offset 0 for starts before the section, which
+        # the bound rejects.
+        found = []
+        for k in _NORMAL_LENGTHS:
+            s = start - k
+            keep = (s >= bound) & (normal.take(s, mode="clip") == k)
+            found.append((s[keep], end[keep], bound[keep]))
+        start, end, bound = (np.concatenate(col) for col in zip(*found))
+        if not len(start):
             break
-    return np.concatenate(found_start), np.concatenate(found_end)
+        starts.append(start)
+        ends.append(end)
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def scan_gadget_windows(
     data: bytes, window_back: int, max_insns: int
 ) -> list[tuple[int, int]]:
-    """All valid gadget windows (start, end) behind every terminator in ``data``."""
-    # A window's body is at most max_insns - 1 instructions of MAX_INSN_LEN bytes,
-    # and a terminator t closing its end has t <= end - 1, within longest - 1 bytes
-    # of the last instruction's start: no start further back validates.  Nor does
-    # a start more than len(data) - 1 bytes back, which lies before offset 0.
-    longest = max(disasm.FREE_BRANCH_LENGTH.values())
-    window_back = min(
-        window_back, (max_insns - 1) * disasm.MAX_INSN_LEN + longest - 1, len(data) - 1
-    )
-    length, klass = length_class(np.frombuffer(data, dtype=np.uint8))
-    terms = _free_branch_offsets(klass)
-    if not len(terms):
-        return []
-    starts, ends = [], []
-    for lo in range(0, len(terms), _BLOCK):
-        s, e = _valid_windows(length, klass, terms[lo : lo + _BLOCK], window_back, max_insns)
-        starts.append(s)
-        ends.append(e)
-    # ``c2 xx c3`` closes the same window from two terminators: sort the
-    # (start, end) keys and drop adjacent repeats.
-    key = np.concatenate(starts).astype(np.int64) << 32 | np.concatenate(ends)
-    key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    return list(zip((key >> 32).tolist(), (key & 0xFFFFFFFF).tolist()))
+    """All valid gadget windows (start, end) behind every terminator in ``data``,
+    ascending by start.
+
+    Valid: greedy decode from ``start`` lands exactly on ``end`` within
+    ``max_insns`` known instructions, the last a free branch and no earlier
+    one, and ``start`` lies in ``[t - window_back, t]`` for a terminator t
+    closing ``end``.  ``window_back`` is at least 1, as
+    :func:`ropforge.gadgets.enumerate_gadgets` requires.
+    """
+    # The per-offset arrays die with _backward_windows, before the list is built.
+    start, end = _backward_windows(np.frombuffer(data, dtype=np.uint8), window_back, max_insns)
+    order = np.argsort(start)
+    return list(zip(start[order].tolist(), end[order].tolist()))

@@ -122,7 +122,7 @@ def test_gadgets_json(demo_binary, capsys):
 
 
 def test_gadgets_window_back_past_the_section(demo_binary, capsys):
-    # window_back clamps to the section: a start further back lies before offset 0
+    # a start further back than the section lies before offset 0: nothing more is found
     huge = ["--max-insns", str(10**11)]
     assert main(["gadgets", str(demo_binary), *huge]) == 0
     default = capsys.readouterr().out
@@ -616,6 +616,26 @@ def test_read_payload_inverts_the_text_formats(data):
         assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
     raw = b"A" + data  # the default pad byte never starts a text rendering
     assert _read_payload(raw) == (raw, "raw")
+
+
+def test_read_payload_round_trips_empty_and_one_byte_payloads():
+    # an empty payload renders "\n" in both text formats and reads back as hex
+    for fmt in ("hex", "escaped"):
+        assert _read_payload(_format_payload(Payload(b"", ()), fmt)) == (b"", "hex")
+    for byte in range(256):
+        data = bytes([byte])
+        for fmt in ("hex", "escaped"):
+            assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=1, max_size=64).filter(lambda d: any(c in "abcdef" for c in d.hex())))
+def test_read_payload_reads_upper_case_hex_as_raw(data):
+    # build renders lower-case digits only, so an upper-case file is no rendering of it
+    digits = data.hex().upper()
+    escaped = "".join(f"\\x{digits[i:i + 2]}" for i in range(0, len(digits), 2))
+    for blob in (digits.encode() + b"\n", escaped.encode() + b"\n"):
+        assert _read_payload(blob) == (blob, "raw")
 
 
 @settings(max_examples=200, deadline=None)

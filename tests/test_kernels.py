@@ -83,8 +83,8 @@ def test_ret_imm16_over_ret_closes_one_window():
 
 
 def test_windows_past_a_block_of_terminators():
-    # more terminators than one validation block
-    data = b"\x58\xc3" * (kernels._BLOCK + 7)
+    # a long run of terminators, each closing two windows
+    data = b"\x58\xc3" * 1031
     pop_rets = [(s, s + 2) for s in range(0, len(data), 2)]
     rets = [(s, s + 1) for s in range(1, len(data), 2)]
     assert kernels.scan_gadget_windows(data, 20, 5) == sorted(pop_rets + rets)
@@ -106,6 +106,28 @@ _instruction_text = st.lists(st.one_of(_instruction(), st.binary(max_size=2)), m
 )
 
 
+# Terminators that overlap: two of them close one end (c2 xx c3, c2 ff d0), or
+# one lies inside the other and closes an end of its own (c2 c3 c3).
+_overlapping_terminators = st.one_of(
+    st.binary(min_size=1, max_size=1).map(lambda x: b"\xc2" + x + b"\xc3"),
+    st.sampled_from([b"\xc2\xff\xd0", b"\xc2\xc3\xc3"]),
+)
+
+_overlapping_text = st.lists(
+    st.one_of(_instruction(), st.binary(max_size=2), _overlapping_terminators), max_size=40
+).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overlapping_text, st.integers(1, 24), st.integers(1, 5))
+def test_short_window_back_matches_brute_force(data, window_back, max_insns):
+    # a short window_back bounds the starts behind each end by its lowest terminator
+    windows = kernels.scan_gadget_windows(data, window_back, max_insns)
+    assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
+    starts = [start for start, _ in windows]
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+
+
 def _longest_window_back(max_insns: int) -> int:
     return (max_insns - 1) * MAX_INSN_LEN + max(FREE_BRANCH_LENGTH.values()) - 1
 
@@ -113,9 +135,9 @@ def _longest_window_back(max_insns: int) -> int:
 @settings(max_examples=80, deadline=None)
 @given(_instruction_text, st.integers(1, 4), st.data())
 def test_window_back_past_the_longest_window_matches_brute_force(data, max_insns, draw):
-    # the scanner clamps window_back; the oracle tries every start it is given.  A
-    # window's own last instruction closes it, so from (max_insns - 1) * MAX_INSN_LEN
-    # up every window is found.
+    # the oracle tries every start it is given, the scanner only the starts
+    # max_insns instructions reach.  A window's own last instruction closes it, so
+    # from (max_insns - 1) * MAX_INSN_LEN up every window is found.
     window_back = draw.draw(st.integers((max_insns - 1) * MAX_INSN_LEN, 120))
     windows = kernels.scan_gadget_windows(data, window_back, max_insns)
     assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
