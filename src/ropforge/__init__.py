@@ -41,6 +41,7 @@ from .errors import (
     SymbolNotFoundError,
     TruncatedError,
     UnsatisfiableArityError,
+    UnsupportedError,
 )
 from .gadgets import (
     Gadget,
@@ -103,6 +104,7 @@ __all__ = [
     "TerminationKind",
     "TruncatedError",
     "UnsatisfiableArityError",
+    "UnsupportedError",
     "check_bad_bytes",
     "classify",
     "cyclic_pattern",

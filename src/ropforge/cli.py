@@ -15,6 +15,7 @@ Set ROPFORGE_COLOR=0 to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import binascii
 import functools
 import json
 import os
@@ -133,7 +134,7 @@ def _render_escaped(data: bytes) -> bytearray:
 # The three payload renderings, by format name.
 _RENDER = {
     "raw": lambda data: data,
-    "hex": lambda data: data.hex().encode() + b"\n",
+    "hex": lambda data: binascii.hexlify(data) + b"\n",
     "escaped": _render_escaped,
 }
 
@@ -159,8 +160,11 @@ def _read_payload(blob: bytes) -> tuple[bytes, str]:
         return blob, "raw"
     fmt = "escaped" if blob.startswith(b"\\x") else "hex"
     try:
-        data = bytes.fromhex((_escaped_digits(blob) if fmt == "escaped" else blob).decode())
-    except ValueError:  # UnicodeDecodeError included
+        # the digits are a temporary, freed before the re-render below
+        data = binascii.unhexlify(
+            _escaped_digits(blob) if fmt == "escaped" else memoryview(blob)[:-1]
+        )
+    except binascii.Error:
         return blob, "raw"
     return (data, fmt) if _RENDER[fmt](data) == blob else (blob, "raw")
 

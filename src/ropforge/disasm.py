@@ -53,6 +53,10 @@ class Mnemonic(enum.Enum):
     INT_IMM8 = "int_imm8"
     UNKNOWN = "unknown"
 
+    # Members are singletons compared by identity, so the C-level identity hash
+    # agrees with ==; Enum's own __hash__ hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 class FreeBranchKind(enum.IntEnum):
     """Control transfers whose target is attacker-influencable at runtime."""
@@ -181,11 +185,6 @@ _OPERANDS = {
 }
 
 
-# The operand reader of each rule, indexed like RULE_OF: a tuple index in
-# place of hashing a Mnemonic, whose Enum hash runs in Python.
-_OPERANDS_OF = (None, *(_OPERANDS[r.mnemonic] for r in RULES))
-
-
 def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     """Decode a single instruction at ``offset``; total over non-empty input.
 
@@ -196,11 +195,10 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     if not 0 <= offset < n:
         raise IndexError(f"offset {offset} outside buffer of {n} bytes")
     second = data[offset + 1] if offset + 1 < n else 0
-    index = RULE_AT[data[offset] << 8 | second]
-    rule = RULE_OF[index]
+    rule = RULE_OF[RULE_AT[data[offset] << 8 | second]]
     if rule is None or offset + rule.length > n:
         return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
-    operands = _OPERANDS_OF[index](data, offset, rule)
+    operands = _OPERANDS[rule.mnemonic](data, offset, rule)
     return Instruction(vaddr, rule.length, rule.mnemonic, operands)
 
 
@@ -255,10 +253,6 @@ _TEXT = {
 }
 
 
-# The text of each rule, indexed like RULE_OF.
-_TEXT_OF = (None, *(_TEXT[r.mnemonic] for r in RULES))
-
-
 def format_instruction(insn: Instruction) -> str:
     """Fixed debug rendering, roughly Intel syntax."""
     return _TEXT[insn.mnemonic](insn.operands)
@@ -268,8 +262,7 @@ def format_encoding(enc: bytes) -> str:
     """``format_instruction(decode_one(enc, 0))`` for bytes that encode exactly
     one instruction of the subset, without building the :class:`Instruction`."""
     second = enc[1] if len(enc) > 1 else 0
-    index = RULE_AT[enc[0] << 8 | second]
-    rule = RULE_OF[index]
+    rule = RULE_OF[RULE_AT[enc[0] << 8 | second]]
     if rule is None or rule.length != len(enc):
         raise ValueError(f"{enc.hex()} is not one instruction of the subset")
-    return _TEXT_OF[index](_OPERANDS_OF[index](enc, 0, rule))
+    return _TEXT[rule.mnemonic](_OPERANDS[rule.mnemonic](enc, 0, rule))

@@ -11,10 +11,10 @@ address order.  Each unique gadget's text is its first instruction's text,
 then the text of the gadget that starts at its second instruction: that
 suffix is itself a gadget, at a higher address of the same section, so
 walking the rows down from the highest address meets it first.  The first
-instruction's length comes from its first byte, and each distinct encoding
-is rendered once, from its bytes.  A gadget's class is a byte pattern read
-through the same byte-class table the cleanup search uses.  The per-gadget
-entries, and the decoded :class:`Gadget`, are built only when asked for.
+instruction's length comes from its first byte, and its text from its
+bytes.  A gadget's class is a byte pattern read through the same byte-class
+table the cleanup search uses.  The per-gadget entries, and the decoded
+:class:`Gadget`, are built only when asked for.
 """
 
 from __future__ import annotations
@@ -252,17 +252,12 @@ def enumerate_gadgets(
     # when it starts past that terminator, behind the free branch it ends
     # in), so walking the rows down from the highest address meets each
     # suffix before the gadgets that end in it.  A valid window's first
-    # instruction is known, so its first byte gives its length; each
-    # distinct encoding is rendered once.
+    # instruction is known, so its first byte gives its length.
     texts: dict[bytes, str] = {}
-    heads: dict[bytes, str] = {}
     for _, raw in reversed(rows):
         if raw in texts:
             continue
         n = _FIRST_LENGTH[raw[0]]
-        enc = raw[:n]
-        head = heads.get(enc)
-        if head is None:
-            head = heads[enc] = format_encoding(enc)
+        head = format_encoding(raw[:n])
         texts[raw] = f"{head} ; {texts[raw[n:]]}" if n < len(raw) else head
     return GadgetListing(rows, texts)

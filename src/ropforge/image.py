@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import (
     AmbiguousSymbolError,
@@ -65,8 +66,9 @@ class BinaryImage:
     entry_point: int
     sections: tuple[Section, ...]
     symbols: tuple[Symbol, ...]
-    bitness: int = 32
-    endianness: str = "little"
+    # Facts of every image the loader accepts, not settable per image.
+    bitness: ClassVar[int] = 32
+    endianness: ClassVar[str] = "little"
 
     @functools.cached_property
     def _by_name(self) -> dict[str, list[Symbol]]:

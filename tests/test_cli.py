@@ -638,6 +638,19 @@ def test_read_payload_reads_upper_case_hex_as_raw(data):
         assert _read_payload(blob) == (blob, "raw")
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=2, max_size=64), st.data())
+def test_read_payload_reads_hex_with_whitespace_as_raw(data, draw):
+    # bytes.fromhex skips whitespace and binascii.unhexlify does not, but a file
+    # holding whitespace is no rendering, so it reads as raw with either codec.
+    # The spaced file is 2n + 3 bytes ending in a newline, so it reaches the codec.
+    digits = data.hex().encode()
+    at = 2 * draw.draw(st.integers(1, len(data) - 1))
+    for blob in (digits[:at] + b" " + digits[at:] + b"\r\n", digits + b"\r\n"):
+        assert bytes.fromhex(blob.decode()) == data
+        assert _read_payload(blob) == (blob, "raw")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=64))
 def test_escaped_format_renders_every_byte(data):

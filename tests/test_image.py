@@ -1,5 +1,6 @@
 """Loader tests: parsing, symbol queries, frame displacement, rejection totality."""
 
+import inspect
 import shutil
 import subprocess
 
@@ -15,6 +16,8 @@ from conftest import (
     TEXT_VADDR,
     demo_elf_bytes,
 )
+import ropforge
+from ropforge import errors
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.errors import (
     AmbiguousSymbolError,
@@ -234,6 +237,15 @@ def test_unsupported_images():
     arm[18] = 40  # e_machine = EM_ARM
     with pytest.raises(UnsupportedError):
         load_image(bytes(arm))
+
+
+def test_every_error_class_is_exported_by_the_package():
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)]
+    classes = [c for c in classes if issubclass(c, RopforgeError)]
+    assert UnsupportedError in classes
+    for cls in classes:
+        assert getattr(ropforge, cls.__name__) is cls
+        assert cls.__name__ in ropforge.__all__
 
 
 def test_truncated_section_content():
