@@ -12,13 +12,12 @@ The last call needs none; its return slot simply holds the final target.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import struct
 from dataclasses import dataclass
 
+from . import gadgets
 from .errors import MissingCleanupGadgetError, UnsatisfiableArityError
-from .gadgets import _cleanup_views, _lowest_pop_ret
 from .image import BinaryImage
 
 WORD_SIZE = 4
@@ -89,24 +88,17 @@ class StackLayout:
 
 
 @dataclass(frozen=True)
-class Annotation:
-    offset: int
-    length: int
-    role: Role
-    value: int | None = None
-
-
-@dataclass(frozen=True)
 class Payload:
     data: bytes
-    annotations: tuple[Annotation, ...]
+    layout: StackLayout  # the layout ``data`` serializes
 
     def role_at(self, offset: int) -> Role:
-        # emit_payload lays annotations out ascending and disjoint
-        i = bisect.bisect_right(self.annotations, offset, key=lambda a: a.offset) - 1
-        if i >= 0 and offset < self.annotations[i].offset + self.annotations[i].length:
-            return self.annotations[i].role
-        raise IndexError(f"offset {offset} not covered by any annotation")
+        if not 0 <= offset < len(self.data):
+            raise IndexError(f"offset {offset} is outside the {len(self.data)}-byte payload")
+        pad_len = self.layout.pad_len
+        if offset < pad_len:
+            return Role.PADDING
+        return self.layout.words[(offset - pad_len) // WORD_SIZE].role
 
 
 def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout:
@@ -123,7 +115,7 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
     last = len(spec.calls) - 1
     # Every cleanup query of the plan reads one byte-class view per section.
     needs_cleanup = image is not None and any(c.arity for c in spec.calls[:last])
-    views = _cleanup_views(image) if needs_cleanup else []
+    views = gadgets.cleanup_views(image) if needs_cleanup else []
     for i, call in enumerate(spec.calls):
         if call.arity > MAX_CALL_ARITY:
             raise UnsatisfiableArityError(
@@ -136,7 +128,7 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
         elif call.arity == 0:
             continue  # the next call's target doubles as the return address
         else:
-            gadget = _lowest_pop_ret(views, call.arity, spec.bad_bytes)
+            gadget = gadgets.lowest_pop_ret(views, call.arity, spec.bad_bytes)
             if gadget is None:
                 raise MissingCleanupGadgetError(
                     f"call {i} passes {call.arity} argument(s) mid-chain but no "
@@ -151,16 +143,8 @@ def emit_payload(layout: StackLayout, pad_byte: int = DEFAULT_PAD_BYTE) -> Paylo
     """Serialize a layout: pad bytes, then each word little-endian."""
     if not 0 <= pad_byte <= 0xFF:
         raise ValueError("pad_byte must be a byte value")
-    chunks = [bytes([pad_byte]) * layout.pad_len]
-    annotations = []
-    if layout.pad_len:
-        annotations.append(Annotation(0, layout.pad_len, Role.PADDING))
-    offset = layout.pad_len
-    for w in layout.words:
-        chunks.append((w.value & 0xFFFFFFFF).to_bytes(WORD_SIZE, "little"))
-        annotations.append(Annotation(offset, WORD_SIZE, w.role, w.value & 0xFFFFFFFF))
-        offset += WORD_SIZE
-    return Payload(data=b"".join(chunks), annotations=tuple(annotations))
+    words = b"".join((w.value & 0xFFFFFFFF).to_bytes(WORD_SIZE, "little") for w in layout.words)
+    return Payload(bytes([pad_byte]) * layout.pad_len + words, layout)
 
 
 def check_bad_bytes(payload: Payload, bad: frozenset[int] | set[int]) -> list[tuple[int, int, str]]:

@@ -68,8 +68,6 @@ class ChainFile:
 class ResolvedChain:
     spec: ChainSpec
     stubs: StubTable
-    pad_byte: int
-    out_format: str
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -196,6 +194,4 @@ def resolve(cf: ChainFile, image: BinaryImage) -> ResolvedChain:
         final_target=final,
         bad_bytes=cf.bad_bytes,
     )
-    return ResolvedChain(
-        spec=spec, stubs=stubs, pad_byte=cf.pad_byte, out_format=cf.out_format
-    )
+    return ResolvedChain(spec=spec, stubs=stubs)

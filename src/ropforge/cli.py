@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import chainfile as chainfile_mod
-from .chain import Payload, check_bad_bytes, emit_payload, plan_chain
+from .chain import WORD_SIZE, Payload, check_bad_bytes, emit_payload, plan_chain
 from .errors import (
     ChainFileError,
     MissingCleanupGadgetError,
@@ -112,10 +112,6 @@ def cmd_gadgets(args) -> int:
     return EXIT_OK
 
 
-def _build_payload(resolved, image) -> Payload:
-    return emit_payload(plan_chain(resolved.spec, image), pad_byte=resolved.pad_byte)
-
-
 # The hex digit of each byte value's high and of its low nibble.
 _HIGH_DIGIT = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
 _LOW_DIGIT = b"0123456789abcdef" * 16
@@ -139,10 +135,6 @@ _RENDER = {
 }
 
 
-def _format_payload(payload: Payload, fmt: str) -> bytes:
-    return _RENDER[fmt](payload.data)
-
-
 def _escaped_digits(blob: bytes) -> bytearray:
     """The two characters after each ``\\x`` of a ``4n + 1``-byte file."""
     digits = bytearray(len(blob) // 2)
@@ -151,7 +143,7 @@ def _escaped_digits(blob: bytes) -> bytearray:
 
 
 def _read_payload(blob: bytes) -> tuple[bytes, str]:
-    """Inverse of :func:`_format_payload`: a file is decoded when ``hex`` or
+    """Inverse of ``_RENDER``: a file is decoded when ``hex`` or
     ``escaped`` renders the decoded bytes back to exactly the file; any other
     file is raw payload bytes."""
     # A hex rendering is 2n + 1 bytes and an escaped one 4n + 1 starting with
@@ -166,19 +158,22 @@ def _read_payload(blob: bytes) -> tuple[bytes, str]:
         )
     except binascii.Error:
         return blob, "raw"
-    return (data, fmt) if _RENDER[fmt](data) == blob else (blob, "raw")
+    # The shape check proved the newline, so hex compares without it: one
+    # rendering-sized buffer, and startswith compares with memcmp.
+    if fmt == "hex":
+        same = blob.startswith(binascii.hexlify(data))
+    else:
+        same = _RENDER[fmt](data) == blob
+    return (data, fmt) if same else (blob, "raw")
 
 
 def _annotation_table(payload: Payload) -> list[str]:
-    rows = []
-    for a in payload.annotations:
-        if a.role.value == "padding":
-            content = f"{payload.data[a.offset]:02x} x{a.length}"
-            value = ""
-        else:
-            content = payload.data[a.offset : a.offset + a.length].hex()
-            value = f"{a.value:#010x}"
-        rows.append((f"{a.offset:#06x}", content, a.role.value, value))
+    data, pad_len = payload.data, payload.layout.pad_len
+    rows = [("0x0000", f"{data[0]:02x} x{pad_len}", "padding", "")] if pad_len else []
+    for i, w in enumerate(payload.layout.words):
+        offset = pad_len + i * WORD_SIZE
+        content = data[offset : offset + WORD_SIZE].hex()
+        rows.append((f"{offset:#06x}", content, w.role.value, f"{w.value & 0xFFFFFFFF:#010x}"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     return ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip() for row in rows]
 
@@ -187,10 +182,10 @@ def cmd_build(args) -> int:
     cf = chainfile_mod.load_chain_file(args.chainfile)
     image = load_image(cf.binary_path().read_bytes())
     resolved = chainfile_mod.resolve(cf, image)
-    payload = _build_payload(resolved, image)
+    payload = emit_payload(plan_chain(resolved.spec, image), pad_byte=cf.pad_byte)
 
-    fmt = args.format or resolved.out_format
-    rendered = _format_payload(payload, fmt)
+    fmt = args.format or cf.out_format
+    rendered = _RENDER[fmt](payload.data)
     annotations = "\n".join(_annotation_table(payload))
     violations = check_bad_bytes(payload, resolved.spec.bad_bytes)
     refused = bool(violations) and not args.force
@@ -226,7 +221,7 @@ def cmd_verify(args) -> int:
         if fmt != "raw":
             print(f"verify: payload read as {fmt}", file=sys.stderr)
     else:
-        payload = _build_payload(resolved, image)
+        payload = emit_payload(plan_chain(resolved.spec, image), pad_byte=cf.pad_byte)
 
     trace = simulate(image, resolved.stubs, payload, resolved.spec.ret_offset)
     lines = trace_jsonl(trace) if args.json else format_trace(trace)

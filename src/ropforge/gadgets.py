@@ -20,8 +20,6 @@ table the cleanup search uses.  The per-gadget entries, and the decoded
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -140,37 +138,33 @@ def classify(g: Gadget) -> GadgetClass:
     return classify_bytes(g.data)
 
 
-def _cleanup_views(image: BinaryImage) -> list[tuple[Section, bytes]]:
+def cleanup_views(image: BinaryImage) -> list[tuple[Section, bytes]]:
     """Every executable section with its bytes read through ``_CLEANUP_CLASS``.
     Each section is translated on its own, so no match straddles two."""
     return [(s, s.data.translate(_CLEANUP_CLASS)) for s in image.executable_sections()]
 
 
-def _matches(section: Section, view: bytes, run: bytes):
-    """Every (vaddr, bytes) match of the class string ``run`` in ``view``,
-    overlapping, ascending."""
-    at = view.find(run)
-    while at >= 0:
-        yield section.vaddr + at, section.data[at : at + len(run)]
-        at = view.find(run, at + 1)
-
-
-def _lowest_pop_ret(
+def lowest_pop_ret(
     views: list[tuple[Section, bytes]], arity: int, bad_bytes: frozenset[int]
 ) -> Gadget | None:
-    """:func:`find_pop_ret` over views :func:`_cleanup_views` made."""
+    """:func:`find_pop_ret` over views :func:`cleanup_views` made."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     # find tries every start offset, so a run inside a longer one is found.
     run = b"p" * arity + b"r"
-    found = heapq.merge(*(_matches(s, view, run) for s, view in views))
-    lowest = next(found, None)
-    if lowest is None:
-        return None
-    for vaddr, raw in itertools.chain([lowest], found):
-        if bad_bytes.isdisjoint(vaddr.to_bytes(4, "little")):
-            return _decode_gadget(vaddr, raw)
-    return _decode_gadget(*lowest)
+    # Per section, its lowest match, then its lowest match at a clean address;
+    # (vaddr, bytes) order breaks ties between overlapping sections.
+    first, clean = [], []
+    for s, view in views:
+        at = view.find(run)
+        if at >= 0:
+            first.append((s.vaddr + at, s.data[at : at + len(run)]))
+        while at >= 0 and not bad_bytes.isdisjoint((s.vaddr + at).to_bytes(4, "little")):
+            at = view.find(run, at + 1)
+        if at >= 0:
+            clean.append((s.vaddr + at, s.data[at : at + len(run)]))
+    found = clean or first
+    return _decode_gadget(*min(found)) if found else None
 
 
 def find_pop_ret(
@@ -181,7 +175,7 @@ def find_pop_ret(
     section's byte-class view (no enumeration limit applies).  When every
     match's address holds a bad byte, the lowest match is returned anyway,
     for the caller to report."""
-    return _lowest_pop_ret(_cleanup_views(image), arity, bad_bytes)
+    return lowest_pop_ret(cleanup_views(image), arity, bad_bytes)
 
 
 class GadgetListing(Sequence[GadgetEntry]):

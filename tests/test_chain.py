@@ -97,17 +97,6 @@ def test_emit_payload_zero_padding():
     assert payload.data[:4] == b"\xa4\x84\x04\x08"
 
 
-def test_annotations_cover_every_byte_exactly_once():
-    layout = plan_chain(spec([CallStep(0x080484A4, (1, 2))], ret_offset=7))
-    payload = emit_payload(layout)
-    covered = sorted(
-        off
-        for a in payload.annotations
-        for off in range(a.offset, a.offset + a.length)
-    )
-    assert covered == list(range(len(payload.data)))
-
-
 def test_check_bad_bytes():
     layout = plan_chain(spec([CallStep(0x0804_0A04)]))  # 0x0a inside the address
     payload = emit_payload(layout)
@@ -124,13 +113,12 @@ def test_check_bad_bytes_space_in_address():
 
 
 def _bad_bytes_reference(payload, bad):
-    """check_bad_bytes by definition: every byte, the first annotation covering it."""
-    hits = []
-    for offset, b in enumerate(payload.data):
-        if b in bad:
-            a = next(a for a in payload.annotations if a.offset <= offset < a.offset + a.length)
-            hits.append((offset, b, a.role.value))
-    return hits
+    """check_bad_bytes by definition: every byte, and the role of the layout
+    word covering it, found by walking the words."""
+    roles = [Role.PADDING] * payload.layout.pad_len
+    for w in payload.layout.words:
+        roles += [w.role] * 4
+    return [(o, b, roles[o].value) for o, b in enumerate(payload.data) if b in bad]
 
 
 _layout_words = st.lists(
@@ -153,6 +141,17 @@ def test_check_bad_bytes_matches_per_byte_reference(pad_len, words, pad_byte, da
     assert check_bad_bytes(payload, bad) == _bad_bytes_reference(payload, bad)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), _layout_words, st.integers(0, 255))
+def test_role_at_reads_each_byte_from_the_layout(pad_len, words, pad_byte):
+    payload = emit_payload(StackLayout(pad_len, tuple(words)), pad_byte)
+    expected = [Role.PADDING] * pad_len + [w.role for w in words for _ in range(4)]
+    assert [payload.role_at(o) for o in range(len(payload.data))] == expected
+    for offset in (-1, len(payload.data)):
+        with pytest.raises(IndexError):
+            payload.role_at(offset)
+
+
 def test_role_at_outside_the_annotations():
     payload = emit_payload(plan_chain(spec([CallStep(0x080484A4)], ret_offset=3)))
     assert [payload.role_at(o) for o in (0, 2, 3, 10)] == [
@@ -165,7 +164,7 @@ def test_role_at_outside_the_annotations():
         with pytest.raises(IndexError):
             payload.role_at(offset)
     with pytest.raises(IndexError):
-        Payload(b"AAAA", ()).role_at(0)
+        Payload(b"AAAA", StackLayout(0, ())).role_at(0)
 
 
 def test_length_identity():

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_bruteforce
 from oracle_bruteforce import reference_classify
 from conftest import ADDR_SECRET_NOPARM, ADDR_STR, insn_text
-from ropforge.chain import Payload
-from ropforge.cli import _format_payload, _read_payload, main
+from ropforge.cli import _RENDER, _read_payload, main
 from ropforge.disasm import decode_window, format_instruction, free_branch_kind
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.gadgets import Gadget
@@ -613,7 +612,7 @@ def test_verify_reads_payloads_build_wrote(demo_binary, tmp_path, capsys, fmt):
 @given(st.binary(min_size=1, max_size=64))  # an empty payload renders "\n" in both
 def test_read_payload_inverts_the_text_formats(data):
     for fmt in ("hex", "escaped"):
-        assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
+        assert _read_payload(_RENDER[fmt](data)) == (data, fmt)
     raw = b"A" + data  # the default pad byte never starts a text rendering
     assert _read_payload(raw) == (raw, "raw")
 
@@ -621,11 +620,11 @@ def test_read_payload_inverts_the_text_formats(data):
 def test_read_payload_round_trips_empty_and_one_byte_payloads():
     # an empty payload renders "\n" in both text formats and reads back as hex
     for fmt in ("hex", "escaped"):
-        assert _read_payload(_format_payload(Payload(b"", ()), fmt)) == (b"", "hex")
+        assert _read_payload(_RENDER[fmt](b"")) == (b"", "hex")
     for byte in range(256):
         data = bytes([byte])
         for fmt in ("hex", "escaped"):
-            assert _read_payload(_format_payload(Payload(data, ()), fmt)) == (data, fmt)
+            assert _read_payload(_RENDER[fmt](data)) == (data, fmt)
 
 
 @settings(max_examples=100, deadline=None)
@@ -655,7 +654,7 @@ def test_read_payload_reads_hex_with_whitespace_as_raw(data, draw):
 @given(st.binary(max_size=64))
 def test_escaped_format_renders_every_byte(data):
     expected = "".join(f"\\x{b:02x}" for b in data).encode() + b"\n"
-    assert _format_payload(Payload(data, ()), "escaped") == expected
+    assert _RENDER["escaped"](data) == expected
 
 
 @pytest.mark.parametrize(

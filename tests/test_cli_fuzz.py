@@ -18,7 +18,6 @@ from conftest import (
     demo_elf_bytes,
 )
 from ropforge import cli
-from ropforge.chain import Payload
 
 EXIT_CODES = {
     cli.EXIT_OK,
@@ -194,7 +193,7 @@ def payload_files(draw):
     else:
         data = draw(st.binary(max_size=120))
     fmt = draw(st.sampled_from(["raw", "hex", "escaped"]))
-    return cli._format_payload(Payload(data, ()), fmt)
+    return cli._RENDER[fmt](data)
 
 
 @settings(max_examples=100, deadline=None)

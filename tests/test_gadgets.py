@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET, insn_text
-from ropforge import chain, gadgets
+from ropforge import gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
 from ropforge.disasm import RULES, FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
@@ -243,11 +243,11 @@ def test_entries_match_their_decode_random(img, max_insns, window_back):
 
 
 @st.composite
-def overlapping_images(draw):
-    """Two or three sections of instruction text up to 24 bytes apart, so
-    that they overlap, in any order."""
+def overlapping_images(draw, text=insn_text):
+    """Two or three sections of ``text`` up to 24 bytes apart, so that they
+    overlap, in any order."""
     specs = [
-        SectionSpec(f".t{i}", 0x08048000 + draw(st.integers(0, 24)), draw(insn_text), "ax")
+        SectionSpec(f".t{i}", 0x08048000 + draw(st.integers(0, 24)), draw(text), "ax")
         for i in range(draw(st.integers(2, 3)))
     ]
     return load_image(build_elf(draw(st.permutations(specs))))
@@ -384,6 +384,19 @@ def test_find_pop_ret_prefers_address_free_of_bad_bytes(img, data):
         assert bool(dirty) == (not clean)
 
 
+@settings(max_examples=150, deadline=None)
+@given(overlapping_images(_cleanup_rich_text), st.data())
+def test_find_pop_ret_over_overlapping_sections(img, data):
+    # two sections can hold different runs at one address: the lowest
+    # (vaddr, bytes) wins, whichever section comes first
+    hits_by_arity = {k: _pop_ret_windows(img, k) for k in range(1, 5)}
+    lows = {a & 0xFF for hits in hits_by_arity.values() for a, _ in hits}
+    bad = data.draw(st.frozensets(st.sampled_from(sorted(lows | {0x80}))))
+    for k, hits in hits_by_arity.items():
+        clean = [h for h in hits if bad.isdisjoint(h[0].to_bytes(4, "little"))]
+        assert _found(find_pop_ret(img, k, bad)) == min(clean or hits, default=None)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_find_pop_ret_ignores_a_run_across_two_sections(k):
     # pop eax ; pop ebx end .text, ret starts .text2 at the next address: the
@@ -405,7 +418,7 @@ def test_plan_translates_each_section_once(monkeypatch, n_sections):
     text = b"\x5e\x5f\x5d\xc3\xcc\x58\xc3"
     specs = [SectionSpec(f".t{i}", 0x08048000 + 0x1000 * i, text, "ax") for i in range(n_sections)]
     img = load_image(build_elf(specs))
-    real = gadgets._cleanup_views
+    real = gadgets.cleanup_views
     translated = []
 
     def spy(image):
@@ -413,8 +426,7 @@ def test_plan_translates_each_section_once(monkeypatch, n_sections):
         translated.extend(s.name for s, _ in views)
         return views
 
-    monkeypatch.setattr(gadgets, "_cleanup_views", spy)
-    monkeypatch.setattr(chain, "_cleanup_views", spy)
+    monkeypatch.setattr(gadgets, "cleanup_views", spy)
     calls = (CallStep(0x0A000010, (1, 2)), CallStep(0x0A000020, (1, 2, 3)))
     calls += (CallStep(0x0A000030, (4,)), CallStep(0x0A000040))
     layout = plan_chain(ChainSpec(calls=calls, ret_offset=8), img)
