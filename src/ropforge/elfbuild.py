@@ -9,24 +9,12 @@ own loader.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-EHDR_SIZE = 52
-SHDR_SIZE = 40
-SYM_SIZE = 16
-
-SHT_PROGBITS = 1
-SHT_SYMTAB = 2
-SHT_STRTAB = 3
-SHT_DYNSYM = 11
-
-SHF_WRITE = 1
-SHF_ALLOC = 2
-SHF_EXECINSTR = 4
+from . import image
 
 STB_GLOBAL = 1
-_STT = {"function": 2, "object": 1, "other": 0}
+_STT_BY_KIND = {kind: stt for stt, kind in image.KIND_BY_STT.items()} | {"other": 0}  # STT_NOTYPE
 
 
 @dataclass
@@ -72,20 +60,18 @@ class _Record:
 def _sh_flags(letters: str) -> int:
     flags = 0
     for ch in letters:
-        flags |= {"a": SHF_ALLOC, "w": SHF_WRITE, "x": SHF_EXECINSTR}[ch]
+        flags |= {"a": image.SHF_ALLOC, "w": image.SHF_WRITE, "x": image.SHF_EXECINSTR}[ch]
     return flags
 
 
 def _symtab_blob(symbols, strtab: _Strtab, section_index) -> bytes:
-    blob = bytearray(SYM_SIZE)  # index 0: undefined symbol
+    blob = bytearray(image.SYM.size)  # index 0: undefined symbol
     for sym in symbols:
-        info = (STB_GLOBAL << 4) | _STT[sym.kind]
-        blob += struct.pack(
-            "<IIIBBH",
+        blob += image.SYM.pack(
             strtab.add(sym.name),
             sym.vaddr,
             sym.size,
-            info,
+            STB_GLOBAL << 4 | _STT_BY_KIND[sym.kind],
             0,
             section_index(sym.vaddr),
         )
@@ -103,8 +89,6 @@ def build_elf(
     ``symbols`` land in .symtab, ``dyn_symbols`` in .dynsym.  Entry point
     defaults to the first executable section's start.
     """
-    symbols = list(symbols or [])
-    dyn_symbols = list(dyn_symbols or [])
     if entry is None:
         entry = next((s.vaddr for s in sections if "x" in s.flags), 0)
 
@@ -114,32 +98,29 @@ def build_elf(
                 return i + 1  # +1 for the null section header
         return 0xFFF1  # SHN_ABS
 
-    strtab = _Strtab()
-    dynstr = _Strtab()
     records = [
-        _Record(s.name, SHT_PROGBITS, _sh_flags(s.flags), s.vaddr, s.data)
-        for s in sections
+        _Record(s.name, image.SHT_PROGBITS, _sh_flags(s.flags), s.vaddr, s.data) for s in sections
     ]
-    if symbols:
-        blob = _symtab_blob(symbols, strtab, section_index)
-        n = len(records)
-        records.append(_Record(".symtab", SHT_SYMTAB, 0, 0, blob, n + 2, SYM_SIZE, 1))
-        records.append(_Record(".strtab", SHT_STRTAB, 0, 0, bytes(strtab.blob)))
-    if dyn_symbols:
-        blob = _symtab_blob(dyn_symbols, dynstr, section_index)
-        n = len(records)
-        records.append(_Record(".dynsym", SHT_DYNSYM, SHF_ALLOC, 0, blob, n + 2, SYM_SIZE, 1))
-        records.append(_Record(".dynstr", SHT_STRTAB, SHF_ALLOC, 0, bytes(dynstr.blob)))
+    for table_symbols, name, sh_type, str_name, flags in (
+        (symbols, ".symtab", image.SHT_SYMTAB, ".strtab", 0),
+        (dyn_symbols, ".dynsym", image.SHT_DYNSYM, ".dynstr", image.SHF_ALLOC),
+    ):
+        if table_symbols:
+            strtab = _Strtab()
+            blob = _symtab_blob(table_symbols, strtab, section_index)
+            link = len(records) + 2  # the string table's header index, after the null entry
+            records.append(_Record(name, sh_type, flags, 0, blob, link, image.SYM.size, 1))
+            records.append(_Record(str_name, image.SHT_STRTAB, flags, 0, bytes(strtab.blob)))
 
     # The name table's own content depends only on the section names, so it
     # can be finalized before layout like any other data blob.
     shstrtab = _Strtab()
-    records.append(_Record(".shstrtab", SHT_STRTAB, 0, 0, b""))
+    records.append(_Record(".shstrtab", image.SHT_STRTAB, 0, 0, b""))
     name_offsets = [shstrtab.add(r.name) for r in records]
     records[-1].data = bytes(shstrtab.blob)
     shstrndx = len(records)  # index in the header table, after the null entry
 
-    body = bytearray(EHDR_SIZE)
+    body = bytearray(image.EHDR.size)
     offsets = []
     for rec in records:
         while len(body) % 4:
@@ -150,10 +131,9 @@ def build_elf(
     while len(body) % 4:
         body.append(0)
     e_shoff = len(body)
-    body += bytes(SHDR_SIZE)  # null section header
+    body += bytes(image.SHDR.size)  # null section header
     for rec, name_off, off in zip(records, name_offsets, offsets):
-        body += struct.pack(
-            "<10I",
+        body += image.SHDR.pack(
             name_off,
             rec.sh_type,
             rec.flags,
@@ -166,26 +146,21 @@ def build_elf(
             rec.entsize,
         )
 
-    ehdr = struct.pack(
-        "<4sBBBB8xHHIIIIIHHHHHH",
-        b"\x7fELF",
-        1,  # ELFCLASS32
-        1,  # little endian
-        1,  # EV_CURRENT
-        0,  # System V ABI
-        2,  # ET_EXEC
-        3,  # EM_386
-        1,  # version
+    # e_ident ends in zeros (System V ABI): "16s" pads the magic, class, data and version.
+    body[: image.EHDR.size] = image.EHDR.pack(
+        image.ELFMAG + bytes((image.ELFCLASS32, image.ELFDATA2LSB, image.EV_CURRENT)),
+        image.ET_EXEC,
+        image.EM_386,
+        image.EV_CURRENT,
         entry,
         0,  # no program headers
         e_shoff,
         0,  # flags
-        EHDR_SIZE,
+        image.EHDR.size,
         0,
         0,
-        SHDR_SIZE,
+        image.SHDR.size,
         len(records) + 1,
         shstrndx,
     )
-    body[:EHDR_SIZE] = ehdr
     return bytes(body)

@@ -23,19 +23,29 @@ from .errors import (
     UnsupportedError,
 )
 
-_EHDR = struct.Struct("<16sHHIIIIIHHHHHH")
-_SHDR = struct.Struct("<10I")
-_SYM = struct.Struct("<IIIBBH")
+# The ELF32 format: the loader reads it and ``elfbuild`` writes it.
+EHDR = struct.Struct("<16sHHIIIIIHHHHHH")
+SHDR = struct.Struct("<10I")
+SYM = struct.Struct("<IIIBBH")
+
+ELFMAG = b"\x7fELF"
+ELFCLASS32 = 1
+ELFDATA2LSB = 1
+EV_CURRENT = 1
+ET_EXEC = 2
+EM_386 = 3
 
 SHT_PROGBITS = 1
 SHT_SYMTAB = 2
 SHT_STRTAB = 3
 SHT_NOBITS = 8
 SHT_DYNSYM = 11
+SHF_WRITE = 1
 SHF_ALLOC = 2
 SHF_EXECINSTR = 4
 
-_KIND_BY_STT = {2: "function", 1: "object"}
+# Symbol kind by STT_* code; any other code reads as "other".
+KIND_BY_STT = {2: "function", 1: "object"}
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,13 @@ def load_image(raw: bytes) -> BinaryImage:
     (anything but 32-bit little-endian x86), or :class:`TruncatedError`
     (declared ranges extend past the end of the input).
     """
-    if len(raw) < 4 or raw[:4] != b"\x7fELF":
+    if len(raw) < 4 or raw[:4] != ELFMAG:
         raise NotElfError("missing ELF magic")
-    if len(raw) >= 5 and raw[4] != 1:
+    if len(raw) >= 5 and raw[4] != ELFCLASS32:
         raise UnsupportedError(f"only ELF32 is supported (EI_CLASS={raw[4]})")
-    if len(raw) >= 6 and raw[5] != 1:
+    if len(raw) >= 6 and raw[5] != ELFDATA2LSB:
         raise UnsupportedError(f"only little-endian is supported (EI_DATA={raw[5]})")
-    if len(raw) < _EHDR.size:
+    if len(raw) < EHDR.size:
         raise TruncatedError("ELF header does not fit")
 
     (
@@ -139,17 +149,17 @@ def load_image(raw: bytes) -> BinaryImage:
         shentsize,
         shnum,
         shstrndx,
-    ) = _EHDR.unpack_from(raw)
-    if machine != 3:
+    ) = EHDR.unpack_from(raw)
+    if machine != EM_386:
         raise UnsupportedError(f"only x86 (EM_386) is supported, got machine {machine}")
 
     headers = []
     if shnum:
-        if shentsize < _SHDR.size:
+        if shentsize < SHDR.size:
             raise TruncatedError(f"section header entry size {shentsize} too small")
         table = _need(raw, shoff, shnum * shentsize, "section header table")
         for i in range(shnum):
-            headers.append(_SHDR.unpack_from(table, i * shentsize))
+            headers.append(SHDR.unpack_from(table, i * shentsize))
 
     shstr = b""
     if headers and shstrndx < len(headers):
@@ -162,6 +172,9 @@ def load_image(raw: bytes) -> BinaryImage:
         sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, *_ = h
         if not sh_flags & SHF_ALLOC or sh_size == 0:
             continue
+        name = _strz(shstr, sh_name)
+        if sh_addr + sh_size > 1 << 32:
+            raise UnsupportedError(f"section {name!r} at {sh_addr:#x}+{sh_size:#x} runs past 4 GiB")
         if sh_type == SHT_NOBITS:
             # .bss-style: occupies memory, no file bytes. Materialized as
             # zeros so read_virtual and symbol containment work; a cap keeps
@@ -173,7 +186,7 @@ def load_image(raw: bytes) -> BinaryImage:
             data = _need(raw, sh_offset, sh_size, "section content")
         sections.append(
             Section(
-                name=_strz(shstr, sh_name),
+                name=name,
                 vaddr=sh_addr,
                 data=data,
                 executable=bool(sh_flags & SHF_EXECINSTR),
@@ -201,14 +214,14 @@ def _parse_symbols(raw, headers, sections) -> list[Symbol]:
             if lh[1] != SHT_NOBITS:
                 strtab = _need(raw, lh[4], lh[5], "symbol string table")
         out = []
-        for i in range(1, len(blob) // _SYM.size):
-            st_name, st_value, st_size, st_info, _other, _shndx = _SYM.unpack_from(
-                blob, i * _SYM.size
+        for i in range(1, len(blob) // SYM.size):
+            st_name, st_value, st_size, st_info, _other, _shndx = SYM.unpack_from(
+                blob, i * SYM.size
             )
             name = _strz(strtab, st_name)
             if not name:
                 continue
-            kind = normalized_kind(_KIND_BY_STT.get(st_info & 0xF, "other"), st_value)
+            kind = normalized_kind(KIND_BY_STT.get(st_info & 0xF, "other"), st_value)
             out.append(Symbol(name=name, vaddr=st_value, size=st_size, kind=kind))
         return out
 

@@ -342,6 +342,37 @@ def test_build_and_verify_arity_5_and_6_cleanup(tmp_path):
     assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0
 
 
+@pytest.mark.parametrize("bad_bytes", ["", "bad_bytes: none\n"], ids=["scanf", "none"])
+def test_section_past_4_gib_exits_2(tmp_path, capsys, bad_bytes):
+    # pop ebp ; ret at 0x100000004, past the 32-bit address space
+    text = b"\x90" * 0x14 + b"\x5d\xc3" + b"\x90" * 10
+    binary = tmp_path / "high"
+    binary.write_bytes(
+        build_elf(
+            [
+                SectionSpec(".text", 0xFFFFFFF0, text, "ax"),
+                SectionSpec(".data", 0x0804A000, bytes(16), "wa"),
+            ],
+            symbols=[
+                SymbolSpec("f", 0xFFFFFFF0, 4),
+                SymbolSpec("g", 0xFFFFFFF8, 4),
+                SymbolSpec("s", 0x0804A000, 4, "object"),
+            ],
+        )
+    )
+    chain = tmp_path / "chain.rop"
+    chain.write_text(f"binary: {binary}\nret_offset: 16\ncall: f &s\ncall: g\n{bad_bytes}")
+    for argv in (
+        ["gadgets", str(binary)],
+        ["build", str(chain)],
+        ["verify", str(binary), str(chain)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: section '.text' at 0xfffffff0+0x20 runs past 4 GiB\n"
+
+
 def test_build_rejects_ret_offset_past_16_mib(demo_binary, tmp_path, capsys):
     chain = tmp_path / "chain.rop"
     for offset in (1152921504606846976, (1 << 24) + 1):

@@ -25,24 +25,18 @@ def image_of(data: bytes, vaddr: int = 0x08048000):
     return load_image(build_elf([SectionSpec(".text", vaddr, data, "ax")]))
 
 
-@pytest.fixture(params=["numpy"])
-def backend(request):
-    """The vectorized numpy scanner, the only one; it names these tests' ids."""
-    return request.param
-
-
-def test_find_terminators_direct(backend):
+def test_find_terminators_direct():
     assert scan_free_branches(b"\x90\xc3") == [(1, FreeBranchKind.RET)]
     assert scan_free_branches(b"\x90" * 8) == []
 
 
-def test_find_terminators_unaligned(backend):
+def test_find_terminators_unaligned():
     # ret hidden inside the imm32 of add eax, 0xc3
     hits = scan_free_branches(b"\x05\xc3\x00\x00\x00")
     assert (1, FreeBranchKind.RET) in hits
 
 
-def test_find_terminators_all_kinds(backend):
+def test_find_terminators_all_kinds():
     data = b"\xc3" + b"\xc2\x08\x00" + b"\xff\xe0" + b"\xff\xd3"
     assert scan_free_branches(data) == [
         (0, FreeBranchKind.RET),
@@ -52,12 +46,12 @@ def test_find_terminators_all_kinds(backend):
     ]
 
 
-def test_terminator_needs_full_encoding(backend):
+def test_terminator_needs_full_encoding():
     assert scan_free_branches(b"\xc2\x08") == []  # imm16 cut off
     assert scan_free_branches(b"\xff") == []
 
 
-def test_enumerate_pop_pop_ret(backend):
+def test_enumerate_pop_pop_ret():
     gset = enumerate_gadgets(image_of(b"\x58\x5b\xc3"), max_insns=3)
     rendered = {e.gadget.render() for e in gset}
     assert rendered == {"pop eax ; pop ebx ; ret", "pop ebx ; ret", "ret"}
@@ -65,16 +59,16 @@ def test_enumerate_pop_pop_ret(backend):
     assert [e.gadget.data for e in gset] == sorted(e.gadget.data for e in gset)
 
 
-def test_enumerate_max_insns_cap(backend):
+def test_enumerate_max_insns_cap():
     gset = enumerate_gadgets(image_of(b"\x58\x5b\xc3"), max_insns=1)
     assert {e.gadget.render() for e in gset} == {"ret"}
 
 
-def test_enumerate_empty_section(backend):
+def test_enumerate_empty_section():
     assert len(enumerate_gadgets(image_of(b"\x90\x90\x90"))) == 0
 
 
-def test_enumerate_matches_brute_force_on_fixture(backend, demo_image):
+def test_enumerate_matches_brute_force_on_fixture(demo_image):
     text = demo_image.executable_sections()[0]
     gset = enumerate_gadgets(demo_image, max_insns=5, window_back=20)
     oracle = oracle_bruteforce.brute_force_gadget_map(text.data, text.vaddr, 20, 5)
@@ -82,13 +76,13 @@ def test_enumerate_matches_brute_force_on_fixture(backend, demo_image):
     assert mine == oracle
 
 
-def test_unaligned_gadget_address(backend, demo_image):
+def test_unaligned_gadget_address(demo_image):
     gset = enumerate_gadgets(demo_image)
     ret_entry = next(e for e in gset if e.gadget.data == b"\xc3")
     assert ADDR_UNALIGNED_RET in ret_entry.addrs
 
 
-def test_gadgets_redecode_from_image(backend, demo_image):
+def test_gadgets_redecode_from_image(demo_image):
     from ropforge.image import read_virtual
 
     gset = enumerate_gadgets(demo_image)
@@ -97,7 +91,7 @@ def test_gadgets_redecode_from_image(backend, demo_image):
             assert read_virtual(demo_image, addr, len(e.gadget.data)) == e.gadget.data
 
 
-def test_classification(backend, demo_image):
+def test_classification(demo_image):
     gset = enumerate_gadgets(demo_image)
     by_bytes = {e.gadget.data: e for e in gset}
     assert by_bytes[b"\x5f\xc3"].gclass.kind == "pop_ret"
@@ -123,7 +117,7 @@ def test_classify_matches_reference_classify(data):
         assert classify(g) == oracle_bruteforce.reference_classify(g)
 
 
-def test_find_pop_ret_lowest_address(backend, demo_image):
+def test_find_pop_ret_lowest_address(demo_image):
     gset = enumerate_gadgets(demo_image)
     # the lowest arity-1 candidate is the epilogue "pop ebp ; ret" of the
     # first secret function, below the dedicated gadget zone
@@ -136,7 +130,7 @@ def test_find_pop_ret_lowest_address(backend, demo_image):
     assert find_pop_ret(demo_image, 4) is None
 
 
-def test_find_pop_ret_on_tiny_fixture(backend):
+def test_find_pop_ret_on_tiny_fixture():
     g = find_pop_ret(image_of(b"\x58\x5b\xc3", vaddr=0x08048000), 1)
     assert g is not None
     assert g.render() == "pop ebx ; ret"

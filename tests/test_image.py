@@ -1,6 +1,7 @@
 """Loader tests: parsing, symbol queries, frame displacement, rejection totality."""
 
 import inspect
+import re
 import shutil
 import subprocess
 
@@ -59,22 +60,20 @@ def test_demo_binary_layout(demo_image):
     assert demo_image.executable_sections() == (text,)
 
 
-def test_readelf_cross_check(demo_binary):
-    """The synthetic builder's output must parse identically under an
-    independent ELF reader (binutils readelf)."""
+def _readelf(*args):
     readelf = shutil.which("readelf")
     if readelf is None:
         pytest.fail("readelf not available for the cross-check oracle")
-    import re
+    return subprocess.run([readelf, *args], capture_output=True, text=True, check=True).stdout
 
-    sections = subprocess.run(
-        [readelf, "-S", "--wide", str(demo_binary)], capture_output=True, text=True, check=True
-    ).stdout
+
+def test_readelf_cross_check(demo_binary):
+    """The synthetic builder's output must parse identically under an
+    independent ELF reader (binutils readelf)."""
+    sections = _readelf("-S", "--wide", str(demo_binary))
     assert re.search(rf"\.text\s+PROGBITS\s+{TEXT_VADDR:08x}\s+\S+\s+000200 00\s+AX", sections)
     assert re.search(rf"\.data\s+PROGBITS\s+{DATA_VADDR:08x}\s+\S+\s+000030 00\s+WA", sections)
-    symbols = subprocess.run(
-        [readelf, "-s", "--wide", str(demo_binary)], capture_output=True, text=True, check=True
-    ).stdout
+    symbols = _readelf("-s", "--wide", str(demo_binary))
     assert re.search(
         rf"{ADDR_SECRET_PARM:08x}\s+7 FUNC\s+GLOBAL DEFAULT\s+1 SecretFunctionWithParm", symbols
     )
@@ -84,6 +83,56 @@ def test_readelf_cross_check(demo_binary):
     )
     assert re.search(rf"{ADDR_STR:08x}\s+20 OBJECT\s+GLOBAL DEFAULT\s+2 str", symbols)
     assert re.search(rf"{ADDR_ECHO:08x}\s+46 FUNC\s+GLOBAL DEFAULT\s+1 echo", symbols)
+
+
+def test_readelf_reads_the_demo_header(demo_binary):
+    """The ELF header the writer packs, as binutils reads it."""
+    header = _readelf("-h", str(demo_binary))
+    fields = dict(re.findall(r"^\s+([^:]+):\s+(.*?)\s*$", header, re.M))
+    assert fields["Class"] == "ELF32"
+    assert fields["Data"] == "2's complement, little endian"
+    assert fields["Type"].startswith("EXEC")
+    assert fields["Machine"] == "Intel 80386"
+    assert int(fields["Entry point address"], 16) == 0x08048520
+    # null, .text, .data, .symtab, .strtab, .shstrtab
+    assert fields["Number of section headers"] == "6"
+    assert fields["Section header string table index"] == "5"
+
+
+def test_readelf_reads_dynsym_and_notype_symbols(tmp_path):
+    """An alloc-only section, a .dynsym/.dynstr pair and an STT_NOTYPE symbol,
+    as binutils reads them."""
+    path = tmp_path / "dyn.elf"
+    path.write_bytes(
+        build_elf(
+            [
+                SectionSpec(".text", 0x08048000, b"\x90" * 15 + b"\xc3", "ax"),
+                SectionSpec(".rodata", 0x08049000, b"ro" * 6, "a"),
+            ],
+            symbols=[
+                SymbolSpec("start", 0x08048000, 16),
+                SymbolSpec("mark", 0x08049004, 0, "other"),
+            ],
+            dyn_symbols=[
+                SymbolSpec("dynfn", 0x0804800F, 1),
+                SymbolSpec("table", 0x08049000, 12, "object"),
+            ],
+        )
+    )
+    out = _readelf("-S", "-s", "--wide", str(path))
+    assert re.search(r"\.text\s+PROGBITS\s+08048000\s+\S+\s+000010 00\s+AX", out)
+    assert re.search(r"\.rodata\s+PROGBITS\s+08049000\s+\S+\s+00000c 00\s+A\s", out)
+    # Each table links to the string table after it: [3] -> [4], [5] -> [6].
+    assert re.search(r"\[ 3\] \.symtab\s+SYMTAB\s+00000000\s+\S+\s+000030 10\s+4\s+1\s+1", out)
+    assert re.search(r"\[ 4\] \.strtab\s+STRTAB\s+00000000\s+\S+\s+00000c 00\s+0\s+0\s+1", out)
+    assert re.search(r"\[ 5\] \.dynsym\s+DYNSYM\s+00000000\s+\S+\s+000030 10\s+A\s+6\s+1\s+1", out)
+    assert re.search(r"\[ 6\] \.dynstr\s+STRTAB\s+00000000\s+\S+\s+00000d 00\s+A\s+0\s+0\s+1", out)
+    assert re.search(r"08048000\s+16 FUNC\s+GLOBAL DEFAULT\s+1 start", out)
+    assert re.search(r"08049004\s+0 NOTYPE\s+GLOBAL DEFAULT\s+2 mark", out)
+    assert re.search(r"0804800f\s+1 FUNC\s+GLOBAL DEFAULT\s+1 dynfn", out)
+    assert re.search(r"08049000\s+12 OBJECT\s+GLOBAL DEFAULT\s+2 table", out)
+    assert "Symbol table '.dynsym' contains 3 entries" in out
+    assert "Symbol table '.symtab' contains 3 entries" in out
 
 
 def test_lookup_symbol_demo_addresses(demo_image):
@@ -237,6 +286,15 @@ def test_unsupported_images():
     arm[18] = 40  # e_machine = EM_ARM
     with pytest.raises(UnsupportedError):
         load_image(bytes(arm))
+
+
+def test_sections_end_by_4_gib():
+    raw = build_elf([SectionSpec(".text", 0xFFFFFFF0, b"\x90" * 15 + b"\xc3", "ax")])
+    (sec,) = load_image(raw).sections
+    assert sec.vaddr + sec.size == 1 << 32
+    raw = build_elf([SectionSpec(".text", 0xFFFFFFF0, b"\x90" * 16 + b"\xc3", "ax")])
+    with pytest.raises(UnsupportedError, match=r"'\.text' at 0xfffffff0\+0x11 runs past 4 GiB"):
+        load_image(raw)
 
 
 def test_every_error_class_is_exported_by_the_package():
