@@ -85,30 +85,35 @@ def _wanted(args, gclass) -> bool:
 
 
 def cmd_gadgets(args) -> int:
+    import numpy as np  # numpy loads only when gadgets are listed
+
+    from . import kernels
+
     image = _load(args.binary)
     listing = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
-    texts, rows = listing.texts, listing.rows  # rows ascend by address, ties by bytes
-    if args.gadget_class is not None or args.arity is not None:
-        texts = {raw: text for raw, text in texts.items() if _wanted(args, classify_bytes(raw))}
-        rows = [row for row in rows if row[1] in texts]
+    addr, gid = listing.addr, listing.gid  # ascending by address, ties by bytes
+    texts = listing.id_texts  # what each gadget's rows print after the address
+    if args.gadget_class is not None or args.arity is not None or args.json:
+        # Each gadget is classified and dumped once; rows of unwanted ones go.
+        keep, texts = [], []
+        for raw, text in zip(listing.id_bytes, listing.id_texts):
+            gclass = classify_bytes(raw)
+            keep.append(_wanted(args, gclass))
+            if not keep[-1]:
+                text = ""
+            elif args.json:
+                insns = text.split(" ; ")
+                fields = {"bytes_hex": raw.hex(), "insns": insns, "class": gclass.render()}
+                text = json.dumps(fields)[1:]
+            texts.append(text)
+        wanted = np.array(keep, bool)[gid]
+        addr, gid = addr[wanted], gid[wanted]
     if args.json:
-        # One dump per gadget; each of its rows puts the address first.
-        tails = {
-            raw: json.dumps(
-                {
-                    "bytes_hex": raw.hex(),
-                    "insns": text.split(" ; "),
-                    "class": classify_bytes(raw).render(),
-                }
-            )[1:]
-            for raw, text in texts.items()
-        }
-        out = "".join([f'{{"addr": "{a:#010x}", {tails[raw]}\n' for a, raw in rows])
+        sys.stdout.writelines(kernels.render_rows(addr, gid, '{"addr": "0x', '", ', texts))
     else:
         before, after = ("\x1b[36m", "\x1b[0m: ") if _color_enabled() else ("", ": ")
-        out = "".join([f"{before}{a:#010x}{after}{texts[raw]}\n" for a, raw in rows])
-        out += f"{len(rows)} gadgets\n"
-    sys.stdout.write(out)
+        sys.stdout.writelines(kernels.render_rows(addr, gid, f"{before}0x", after, texts))
+        sys.stdout.write(f"{len(addr)} gadgets\n")
     return EXIT_OK
 
 

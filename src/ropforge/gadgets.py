@@ -3,18 +3,22 @@
 A gadget is an instruction sequence ending in a free branch, discovered at
 every byte offset (aligned with intended instructions or not).  Scanning runs
 through :mod:`ropforge.kernels`; this module owns the object model, the
-dedup by bytes, the classifier, and the byte search for the cleanup
+dedup of equal windows, the classifier, and the byte search for the cleanup
 gadget the chain planner asks for.
 
-A listing is one pass over the valid windows, as ``(vaddr, bytes)`` rows in
-address order.  Each unique gadget's text is its first instruction's text,
-then the text of the gadget that starts at its second instruction: that
-suffix is itself a gadget, at a higher address of the same section, so
-walking the rows down from the highest address meets it first.  The first
-instruction's length comes from its first byte, and its text from its
-bytes.  A gadget's class is a byte pattern read through the same byte-class
-table the cleanup search uses.  The per-gadget entries, and the decoded
-:class:`Gadget`, are built only when asked for.
+A listing reads the levels of the window trie
+(:func:`ropforge.kernels.window_trie`): a window's bytes are its first
+instruction's encoding (its head), then the bytes of its parent, the window
+from its second instruction.  So level by level, across sections, each
+distinct (head, parent id) pair gets one gadget id, and ids stand for
+distinct byte strings without any window's bytes being sliced or hashed.
+Each id's text is its head's text
+(:func:`ropforge.disasm.format_encoding`, once per distinct head), then
+``" ; "`` and its parent's text.  The rows are two numpy arrays, address and
+gadget id, in address order.  A gadget's class is a byte pattern read
+through the same byte-class table the cleanup search uses.  Each id's
+bytes, the per-gadget entries and the decoded :class:`Gadget` are built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .disasm import (
+    MAX_INSN_LEN,
     REG_NAMES,
     RULES,
     FreeBranchKind,
@@ -178,28 +183,67 @@ def find_pop_ret(
     return lowest_pop_ret(cleanup_views(image), arity, bad_bytes)
 
 
+def _join_up(heads: list, head_of: list[int], parent_of: list[int], sep):
+    """Per gadget id, its head's value, then ``sep`` and its parent's value.
+    Parents have lower ids, so each is built before its children."""
+    out = []
+    for h, p in zip(head_of, parent_of):
+        out.append(heads[h] + sep + out[p] if p >= 0 else heads[h])
+    return out
+
+
+def _by_bytes(raws: list[bytes]) -> list[int]:
+    """Gadget ids in the order of their bytes."""
+    return sorted(range(len(raws)), key=raws.__getitem__)
+
+
 class GadgetListing(Sequence[GadgetEntry]):
     """The unique gadgets of an image, ordered by bytes, and every address
     each occurs at.
 
-    ``rows`` holds each occurrence as ``(vaddr, bytes)``, ascending by address
-    and, at one address, by bytes; ``texts`` maps each unique gadget's bytes
-    to its text.  The :class:`GadgetEntry` tuple is built on first access.
+    Each unique gadget has an id.  ``addr`` and ``gid`` are numpy arrays with
+    one item per occurrence, its address and its gadget's id, ascending by
+    address and, at one address, by bytes.  ``id_texts[i]`` is gadget ``i``'s
+    text.  Gadget ``i`` is the head encoding ``heads[head_of[i]]`` followed
+    by gadget ``parent_of[i]`` (-1 for none), which has a lower id.
+
+    ``id_bytes`` (the bytes of each id) and what library callers read --
+    ``rows`` (``(vaddr, bytes)`` per occurrence, in the order above),
+    ``texts`` (each unique gadget's bytes to its text) and the
+    :class:`GadgetEntry` tuple -- are built on first access.
     """
 
-    def __init__(self, rows: list[tuple[int, bytes]], texts: dict[bytes, str]):
-        self.rows = rows
-        self.texts = texts
+    def __init__(self, addr, gid, id_texts: list[str], heads, head_of, parent_of):
+        self.addr = addr
+        self.gid = gid
+        self.id_texts = id_texts
+        self._trie = heads, head_of, parent_of
+
+    @functools.cached_property
+    def id_bytes(self) -> list[bytes]:
+        return _join_up(*self._trie, b"")
+
+    @functools.cached_property
+    def rows(self) -> list[tuple[int, bytes]]:
+        raws = self.id_bytes
+        return [(a, raws[g]) for a, g in zip(self.addr.tolist(), self.gid.tolist())]
+
+    @functools.cached_property
+    def texts(self) -> dict[bytes, str]:
+        return dict(zip(self.id_bytes, self.id_texts))
 
     @functools.cached_property
     def entries(self) -> tuple[GadgetEntry, ...]:
-        addrs: dict[bytes, list[int]] = {raw: [] for raw in sorted(self.texts)}
-        for vaddr, raw in self.rows:
-            addrs[raw].append(vaddr)
-        return tuple(GadgetEntry(raw, tuple(a), self.texts[raw]) for raw, a in addrs.items())
+        raws = self.id_bytes
+        addrs: list[list[int]] = [[] for _ in raws]
+        for a, g in zip(self.addr.tolist(), self.gid.tolist()):
+            addrs[g].append(a)
+        return tuple(
+            GadgetEntry(raws[i], tuple(addrs[i]), self.id_texts[i]) for i in _by_bytes(raws)
+        )
 
     def __len__(self) -> int:
-        return len(self.texts)
+        return len(self.id_texts)
 
     def __getitem__(self, index):
         return self.entries[index]
@@ -215,43 +259,78 @@ def enumerate_gadgets(
 ) -> GadgetListing:
     """Collect every gadget of at most ``max_insns`` instructions.
 
-    For each free-branch terminator, window starts are tried up to
-    ``window_back`` bytes before it; valid windows are deduplicated by byte
-    content, keeping all addresses.  Entry order is by gadget bytes, so the
-    result is deterministic regardless of section order.
+    The windows are those :func:`ropforge.kernels.scan_gadget_windows`
+    finds in each executable section: every start up to ``window_back``
+    bytes before a free-branch terminator that greedily decodes onto it.
+    Windows with equal bytes are one gadget, listed at each of their
+    addresses; an occurrence that overlapping sections share is listed once.
+    Entry order is by gadget bytes, so the result does not depend on
+    section order.
     """
     if max_insns < 1:
         raise ValueError("max_insns must be >= 1")
     if window_back < 1:
         raise ValueError("window_back must be >= 1")
 
-    from . import kernels  # numpy loads only when gadgets are listed
+    import numpy as np  # numpy loads only when gadgets are listed
 
-    # Greedy decode makes at most one window per start, so each section's
-    # windows ascend by address; sections in address order that do not
-    # overlap concatenate in order.
-    sections = sorted(image.executable_sections(), key=lambda s: s.vaddr)
-    rows: list[tuple[int, bytes]] = []
-    for s in sections:
-        data, base = s.data, s.vaddr
-        windows = kernels.scan_gadget_windows(data, window_back, max_insns)
-        rows += [(base + start, data[start:end]) for start, end in windows]
-    if any(a.vaddr + a.size > b.vaddr for a, b in zip(sections, sections[1:])):
-        # Overlapping sections: equal addresses list by bytes, and an
-        # occurrence two sections share is listed once.
-        rows = sorted(set(rows))
+    from . import kernels
 
-    # The window from a gadget's second instruction to its end is a gadget of
-    # the same section at a higher address (behind the same terminator, or,
-    # when it starts past that terminator, behind the free branch it ends
-    # in), so walking the rows down from the highest address meets each
-    # suffix before the gadgets that end in it.  A valid window's first
-    # instruction is known, so its first byte gives its length.
-    texts: dict[bytes, str] = {}
-    for _, raw in reversed(rows):
-        if raw in texts:
-            continue
-        n = _FIRST_LENGTH[raw[0]]
-        head = format_encoding(raw[:n])
-        texts[raw] = f"{head} ; {texts[raw[n:]]}" if n < len(raw) else head
-    return GadgetListing(rows, texts)
+    # Per trie level, across sections: each window's address, its packed
+    # head encoding, and its parent's index in the level below.
+    blocks: list[list[tuple]] = []
+    for s in image.executable_sections():
+        trie = kernels.window_trie(s.data, window_back, max_insns)
+        for i, (start, _, head, parent) in enumerate(trie):
+            if i == len(blocks):
+                blocks.append([])
+            # this section's windows one level down are the last block there
+            below = sum(len(b[0]) for b in blocks[i - 1][:-1]) if i else 0
+            enc = kernels.pack_encodings(s.data, start, head)
+            blocks[i].append((s.vaddr + start.astype(np.int64), enc, parent + below))
+    levels = [[np.concatenate(col) for col in zip(*level)] for level in blocks]
+
+    # A window's bytes are its head encoding, then its parent's bytes, and
+    # equal bytes lie on one level.  So, level by level, one id per distinct
+    # (head, parent id) pair is one id per distinct byte string, whatever
+    # section holds it.  Ids ascend by level, then by (head, parent id): by
+    # bytes within a level, since packed heads order as their bytes do.
+    empty = np.zeros(0, np.int64)  # what an image without executable sections holds
+    packed = np.concatenate([empty] + [enc for _, enc, _ in levels])
+    heads, enc_id = np.unique(packed, return_inverse=True)
+    cuts = np.cumsum([len(enc) for _, enc, _ in levels])[:-1]
+    addrs, gids, head_of, parent_of = [empty], [empty], [empty], [empty]
+    count = 0
+    ids = None  # the gadget id of each window one level down
+    for (addr, _, parent), enc in zip(levels, np.split(enc_id, cuts)):
+        up = parent if ids is None else ids[parent]  # -1 at the roots
+        key, inverse = np.unique(enc << 32 | (up + 1), return_inverse=True)
+        ids = count + inverse
+        count += len(key)
+        addrs.append(addr)
+        gids.append(ids)
+        head_of.append(key >> 32)
+        parent_of.append((key & 0xFFFFFFFF) - 1)
+    head_of, parent_of = np.concatenate(head_of).tolist(), np.concatenate(parent_of).tolist()
+
+    # A head's first byte gives its length; its bytes open its packed form.
+    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
+    big = heads.astype(">u8").tobytes()
+    at = range(8 - MAX_INSN_LEN, len(big), 8)
+    head_bytes = [big[i : i + n] for i, n in zip(at, size.tolist())]
+
+    # The occurrences by address.  Only overlapping sections put several at
+    # one address: an occurrence two of them share is listed once, and the
+    # others list by bytes, which ids follow within a level only.
+    addr, gid = np.concatenate(addrs), np.concatenate(gids)
+    order = np.argsort(addr)
+    addr, gid = addr[order], gid[order]
+    if (addr[1:] == addr[:-1]).any():
+        rank = np.argsort(_by_bytes(_join_up(head_bytes, head_of, parent_of, b"")))
+        order = np.lexsort((rank[gid], addr))
+        addr, gid = addr[order], gid[order]
+        first = np.ones(len(addr), bool)
+        first[1:] = (addr[1:] != addr[:-1]) | (gid[1:] != gid[:-1])
+        addr, gid = addr[first], gid[first]
+    texts = _join_up([format_encoding(h) for h in head_bytes], head_of, parent_of, " ; ")
+    return GadgetListing(addr, gid, texts, head_bytes, head_of, parent_of)

@@ -17,7 +17,12 @@ length ``k`` decodes there.  Greedy decoding gives each start exactly one
 forward path, so a window's suffix from its second instruction is its parent
 in a trie rooted at the terminators, and one numpy step per level, for at most
 ``max_insns - 1`` levels, reaches every valid start exactly once: no candidate
-is tried twice and no window needs de-duplicating.
+is tried twice and no window needs de-duplicating.  :func:`window_trie` keeps
+the levels, with each window's first-instruction length and its parent's
+index, for the gadget listing; :func:`scan_gadget_windows` flattens them into
+sorted ``(start, end)`` pairs.  :func:`pack_encodings` reads encodings at
+given starts as integers that order as their bytes do, and
+:func:`render_rows` writes the listing's rows with numpy gathers.
 """
 
 from __future__ import annotations
@@ -78,8 +83,18 @@ def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     return [(o, _KIND_OF[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
 
 
-def _backward_windows(arr, window_back, max_insns):
-    """(start, end) arrays of every valid window in ``arr``, in no order."""
+def window_trie(data: bytes, window_back: int, max_insns: int) -> list[tuple[np.ndarray, ...]]:
+    """Every valid window in ``data`` as the levels of the trie of suffixes.
+
+    Level ``i`` holds the windows of ``i + 1`` instructions as four arrays:
+    ``start``, ``end``, ``head`` (the length of the first instruction) and
+    ``parent``.  Level 0 holds the terminators, with parent -1.  Above it, the
+    window at ``start`` has the window at ``start + head`` with the same end
+    as its parent, at index ``parent`` of the level below.  Within a level,
+    windows are in no order.  The windows are those of
+    :func:`scan_gadget_windows`.
+    """
+    arr = np.frombuffer(data, dtype=np.uint8)
     n = len(arr)
     length, klass = length_class(arr)
     normal = np.where(klass == K_NORMAL, length, 0)
@@ -92,7 +107,7 @@ def _backward_windows(arr, window_back, max_insns):
     lowest = np.full(n + 1, n, np.int32)
     np.minimum.at(lowest, end, start)
     bound = np.maximum(lowest - min(window_back, n), 0)[end]
-    starts, ends = [start], [end]
+    levels = [(start, end, length[start], np.full(len(start), -1, np.intp))]
     for _ in range(max_insns - 1):
         # One more instruction in front: a normal one of length k at q - k.
         # take(mode="clip") reads offset 0 for starts before the section, which
@@ -100,14 +115,30 @@ def _backward_windows(arr, window_back, max_insns):
         found = []
         for k in _NORMAL_LENGTHS:
             s = start - k
-            keep = (s >= bound) & (normal.take(s, mode="clip") == k)
-            found.append((s[keep], end[keep], bound[keep]))
-        start, end, bound = (np.concatenate(col) for col in zip(*found))
+            parent = np.flatnonzero((s >= bound) & (normal.take(s, mode="clip") == k))
+            head = np.full(len(parent), k, np.uint8)
+            found.append((s[parent], end[parent], head, parent, bound[parent]))
+        start, end, head, parent, bound = (np.concatenate(col) for col in zip(*found))
         if not len(start):
             break
-        starts.append(start)
-        ends.append(end)
-    return np.concatenate(starts), np.concatenate(ends)
+        levels.append((start, end, head, parent))
+    return levels
+
+
+def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each encoding ``data[start:start + length]`` as one ``int64``: its bytes
+    big-endian, zero-padded to ``MAX_INSN_LEN`` bytes.
+
+    Every first byte of the subset has one length, so two encodings that
+    start alike are equally long: they pack to equal numbers exactly when
+    their bytes are equal, and in the order of their bytes.
+    """
+    arr = np.frombuffer(data, dtype=np.uint8)
+    packed = np.zeros(len(start), np.int64)
+    for i in range(disasm.MAX_INSN_LEN):
+        byte = np.where(i < length, arr.take(start + i, mode="clip"), 0)
+        packed |= byte.astype(np.int64) << 8 * (disasm.MAX_INSN_LEN - 1 - i)
+    return packed
 
 
 def scan_gadget_windows(
@@ -122,7 +153,45 @@ def scan_gadget_windows(
     closing ``end``.  ``window_back`` is at least 1, as
     :func:`ropforge.gadgets.enumerate_gadgets` requires.
     """
-    # The per-offset arrays die with _backward_windows, before the list is built.
-    start, end = _backward_windows(np.frombuffer(data, dtype=np.uint8), window_back, max_insns)
+    levels = window_trie(data, window_back, max_insns)
+    start, end = (np.concatenate(col) for col in list(zip(*levels))[:2])
     order = np.argsort(start)
     return list(zip(start[order].tolist(), end[order].tolist()))
+
+
+# Output bytes per gather of render_rows, whose index array takes 8 bytes per byte.
+_GATHER_BYTES = 1 << 14
+
+
+def render_rows(addr, gid, head: str, after: str, texts: list[str]):
+    """``f"{head}{a:08x}{after}{texts[g]}\\n"`` for each row ``(a, g)``,
+    yielded in blocks, each one numpy gather.  Addresses are below 4 GiB,
+    and every string is ASCII."""
+    # The gather's source: each gadget's suffix (``after``, its text, a
+    # newline) once, in id order, gadget i's at suffix[i]; then each row's
+    # fixed part (``head`` and the address's 8 hex digits), row r's at
+    # fixed_at[r].
+    sep = f"\n{after}"
+    suffixes = np.frombuffer(sep.join(["", *texts, ""]).encode("ascii"), np.uint8)
+    size = np.fromiter(map(len, texts), np.intp, len(texts)) + len(sep)
+    suffix = np.cumsum(size) - size + 1
+    fixed = len(head) + 8
+    fixed_parts = np.empty((len(addr), fixed), np.uint8)
+    fixed_parts[:, : len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
+    digits = np.frombuffer(b"0123456789abcdef", np.uint8)
+    for i in range(8):
+        fixed_parts[:, len(head) + i] = digits[addr >> 28 - 4 * i & 15]
+    src = np.concatenate([suffixes, fixed_parts.ravel()])
+    fixed_at = len(suffixes) + fixed * np.arange(len(addr))
+
+    width = fixed + size[gid]
+    cuts = np.flatnonzero(np.diff(np.cumsum(width) // _GATHER_BYTES)) + 1
+    for f, g, w in zip(*(np.split(x, cuts) for x in (fixed_at, gid, width))):
+        start = np.cumsum(w) - w
+        # Each output byte's index in src, as a running sum of steps: +1
+        # within a piece, and a jump where each row's two pieces start.
+        step = np.ones(int(w.sum()), np.intp)
+        step[start[:1]] = f[:1]
+        step[start[1:]] = f[1:] - (suffix[g[:-1]] + size[g[:-1]] - 1)
+        step[start + fixed] = suffix[g] - (f + fixed - 1)
+        yield str(src.take(np.cumsum(step, out=step)), "ascii")

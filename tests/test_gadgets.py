@@ -267,6 +267,43 @@ def test_listing_order_and_addresses(img):
         assert e.text == e.gadget.render()
 
 
+@st.composite
+def section_sets(draw):
+    """One to three sections of ``insn_text``, far apart or up to 24 bytes
+    apart, in any order.  A section may be the tail of an earlier one at the
+    same addresses, so the two share occurrences."""
+    specs = []
+    for i in range(draw(st.integers(1, 3))):
+        if specs and draw(st.booleans()):
+            whole = draw(st.sampled_from(specs))
+            cut = draw(st.integers(0, len(whole.data) - 1))
+            vaddr, data = whole.vaddr + cut, whole.data[cut:]
+        else:
+            vaddr = 0x08048000 + draw(st.one_of(st.integers(0, 24), st.just(0x1000 * i)))
+            data = draw(insn_text)
+        specs.append(SectionSpec(f".t{i}", vaddr, data, "ax"))
+    return load_image(build_elf(draw(st.permutations(specs))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(section_sets())
+def test_gadget_ids_follow_bytes(img):
+    # one id per distinct byte string, over all sections; each occurrence
+    # once, by address, then bytes
+    listing = enumerate_gadgets(img)
+    windows = {
+        (s.vaddr + start, s.data[start:end])
+        for s in img.executable_sections()
+        for start, end in oracle_bruteforce.brute_force_windows(s.data, 20, 5)
+    }
+    raws = listing.id_bytes
+    assert len(set(raws)) == len(raws) == len(listing)
+    assert len(listing) == len({raw for _, raw in windows})
+    rows = [(a, raws[g]) for a, g in zip(listing.addr.tolist(), listing.gid.tolist())]
+    assert rows == sorted(windows)
+    assert rows == listing.rows
+
+
 def test_every_first_byte_has_one_length():
     # the listing reads a gadget's first instruction length off its first byte
     lengths: dict[int, set[int]] = {}

@@ -156,3 +156,29 @@ def test_window_back_clamps_to_the_section():
     whole = kernels.scan_gadget_windows(data, len(data), 10**11)
     assert set(whole) == oracle_bruteforce.brute_force_windows(data, len(data), len(data))
     assert kernels.scan_gadget_windows(data, 10**12, 10**11) == whole
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overlapping_text, st.integers(1, 24), st.integers(1, 5))
+def test_window_trie_levels_match_brute_force(data, window_back, max_insns):
+    # each level's windows grow their parents one instruction down by one
+    # decoded instruction; together the levels are the scanner's windows
+    levels = kernels.window_trie(data, window_back, max_insns)
+    start, end, head, parent = (col.tolist() for col in levels[0])
+    terminators = [t for t in range(len(data)) if free_branch_kind(decode_one(data, t))]
+    assert sorted(start) == terminators
+    assert parent == [-1] * len(start)
+    assert head == [decode_one(data, t).length for t in start]
+    assert [s + n for s, n in zip(start, head)] == end
+    windows = list(zip(start, end))
+    below = windows
+    for level in levels[1:]:
+        start, end, head, parent = (col.tolist() for col in level)
+        assert head == [decode_one(data, s).length for s in start]
+        assert [below[p] for p in parent] == [(s + n, e) for s, n, e in zip(start, head, end)]
+        below = list(zip(start, end))
+        windows += below
+    assert len(levels) <= max_insns
+    assert len(set(windows)) == len(windows)
+    assert set(windows) == set(kernels.scan_gadget_windows(data, window_back, max_insns))
+    assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
