@@ -8,27 +8,18 @@ gadget bodies executable in the simulator.  Every other byte pattern decodes as
 restart at any byte offset.  Prefix bytes are deliberately not interpreted; a
 prefix decodes as unknown so a reported length is never wrong.
 
-Operand encoding per mnemonic (register ids 0..7 = eax ecx edx ebx esp ebp esi
-edi):
-
-=================  =========================================
-pop_reg/push_reg   (reg,)
-jmp/call_indirect  (reg,)
-push_imm32         (imm,)           unsigned 32-bit
-mov_reg_imm32      (reg, imm)       unsigned 32-bit
-mov_reg_reg        (dst, src)
-xor_reg_reg        (dst, src)
-add_esp_imm8/32    (delta,)         sign-extended
-ret_imm16          (imm,)           unsigned 16-bit
-int_imm8           (vector,)
-ret/leave/nop      ()
-=================  =========================================
+Each rule of :data:`RULES` declares its operands as fields of its encoding
+(:class:`Reg`, :class:`Imm`), and :data:`TEXT` holds one text template per
+mnemonic.  The decoder, :func:`format_instruction` and the batch renderer in
+:mod:`ropforge.kernels` all read these declarations; nothing else spells out
+an operand or a text.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 REG_NAMES = ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
 
@@ -86,9 +77,27 @@ class Instruction:
         return format_instruction(self)
 
 
+class Reg(NamedTuple):
+    """A register operand: bits ``shift`` to ``shift + 2`` of the encoding's
+    byte ``at``, an index into ``REG_NAMES``."""
+
+    at: int
+    shift: int = 0
+
+
+class Imm(NamedTuple):
+    """An immediate operand: the little-endian integer in the encoding's
+    bytes ``at`` to ``at + size - 1``."""
+
+    at: int
+    size: int
+    signed: bool = False
+
+
 @dataclass(frozen=True)
 class Rule:
-    """One encoding of the subset: byte ranges (inclusive), length, mnemonic.
+    """One encoding of the subset: byte ranges (inclusive), length, mnemonic
+    and operand fields, in operand order.
 
     ``second`` constrains the byte after the opcode (a ModRM byte); None
     leaves it free.  An offset matches when its bytes fall in the ranges and
@@ -99,31 +108,56 @@ class Rule:
     second: tuple[int, int] | None
     length: int
     mnemonic: Mnemonic
+    fields: tuple[Reg | Imm, ...] = ()
 
 
 # The subset, written once: RULE_AT below turns it into the one byte-pair lookup
-# that the decoder, format_encoding and the vectorized scanner in ropforge.kernels
-# all read.  ModRM 0xc0-0xff is mod=11 (register forms); ff d0-d7 is /2 and
-# ff e0-e7 is /4, both mod=11; 83/81 c4 is /0 on esp.
+# that the decoder and the vectorized scanner and renderer in ropforge.kernels
+# all read.  ModRM 0xc0-0xff is mod=11 (register forms): reg is bits 3-5, rm
+# bits 0-2; 89/31 store into rm and 8b/33 load into reg, and a mov or xor's
+# operands are (dst, src).  ff d0-d7 is /2 and ff e0-e7 is /4, both mod=11;
+# 83/81 c4 is /0 on esp, with a sign-extended immediate.
 RULES = (
     Rule((0xC3, 0xC3), None, 1, Mnemonic.RET),
     Rule((0xC9, 0xC9), None, 1, Mnemonic.LEAVE),
     Rule((0x90, 0x90), None, 1, Mnemonic.NOP),
-    Rule((0x50, 0x57), None, 1, Mnemonic.PUSH_REG),
-    Rule((0x58, 0x5F), None, 1, Mnemonic.POP_REG),
-    Rule((0xC2, 0xC2), None, 3, Mnemonic.RET_IMM16),
-    Rule((0xCD, 0xCD), None, 2, Mnemonic.INT_IMM8),
-    Rule((0x68, 0x68), None, 5, Mnemonic.PUSH_IMM32),
-    Rule((0xB8, 0xBF), None, 5, Mnemonic.MOV_REG_IMM32),
-    Rule((0x89, 0x89), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG),
-    Rule((0x8B, 0x8B), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG),
-    Rule((0x31, 0x31), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG),
-    Rule((0x33, 0x33), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG),
-    Rule((0xFF, 0xFF), (0xD0, 0xD7), 2, Mnemonic.CALL_INDIRECT),
-    Rule((0xFF, 0xFF), (0xE0, 0xE7), 2, Mnemonic.JMP_INDIRECT),
-    Rule((0x83, 0x83), (0xC4, 0xC4), 3, Mnemonic.ADD_ESP_IMM8),
-    Rule((0x81, 0x81), (0xC4, 0xC4), 6, Mnemonic.ADD_ESP_IMM32),
+    Rule((0x50, 0x57), None, 1, Mnemonic.PUSH_REG, (Reg(0),)),
+    Rule((0x58, 0x5F), None, 1, Mnemonic.POP_REG, (Reg(0),)),
+    Rule((0xC2, 0xC2), None, 3, Mnemonic.RET_IMM16, (Imm(1, 2),)),
+    Rule((0xCD, 0xCD), None, 2, Mnemonic.INT_IMM8, (Imm(1, 1),)),
+    Rule((0x68, 0x68), None, 5, Mnemonic.PUSH_IMM32, (Imm(1, 4),)),
+    Rule((0xB8, 0xBF), None, 5, Mnemonic.MOV_REG_IMM32, (Reg(0), Imm(1, 4))),
+    Rule((0x89, 0x89), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG, (Reg(1), Reg(1, 3))),
+    Rule((0x8B, 0x8B), (0xC0, 0xFF), 2, Mnemonic.MOV_REG_REG, (Reg(1, 3), Reg(1))),
+    Rule((0x31, 0x31), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG, (Reg(1), Reg(1, 3))),
+    Rule((0x33, 0x33), (0xC0, 0xFF), 2, Mnemonic.XOR_REG_REG, (Reg(1, 3), Reg(1))),
+    Rule((0xFF, 0xFF), (0xD0, 0xD7), 2, Mnemonic.CALL_INDIRECT, (Reg(1),)),
+    Rule((0xFF, 0xFF), (0xE0, 0xE7), 2, Mnemonic.JMP_INDIRECT, (Reg(1),)),
+    Rule((0x83, 0x83), (0xC4, 0xC4), 3, Mnemonic.ADD_ESP_IMM8, (Imm(2, 1, True),)),
+    Rule((0x81, 0x81), (0xC4, 0xC4), 6, Mnemonic.ADD_ESP_IMM32, (Imm(2, 4, True),)),
 )
+
+# Text per mnemonic, as a printf-style template over its operands in order: a
+# register operand fills in as its name, an immediate as an int ("%#x" writes
+# a negative one as -0x...).
+TEXT = {
+    Mnemonic.RET: "ret",
+    Mnemonic.RET_IMM16: "ret %#x",
+    Mnemonic.JMP_INDIRECT: "jmp %s",
+    Mnemonic.CALL_INDIRECT: "call %s",
+    Mnemonic.POP_REG: "pop %s",
+    Mnemonic.PUSH_REG: "push %s",
+    Mnemonic.PUSH_IMM32: "push %#x",
+    Mnemonic.MOV_REG_IMM32: "mov %s, %#x",
+    Mnemonic.MOV_REG_REG: "mov %s, %s",
+    Mnemonic.XOR_REG_REG: "xor %s, %s",
+    Mnemonic.ADD_ESP_IMM8: "add esp, %#x",
+    Mnemonic.ADD_ESP_IMM32: "add esp, %#x",
+    Mnemonic.LEAVE: "leave",
+    Mnemonic.NOP: "nop",
+    Mnemonic.INT_IMM8: "int %#x",
+    Mnemonic.UNKNOWN: "(bad)",
+}
 
 # Encoded length of each terminator, counted from its first byte.
 FREE_BRANCH_LENGTH = {
@@ -152,37 +186,12 @@ RULE_AT = _rule_at()
 RULE_OF = (None, *RULES)
 
 
-def _le(data: bytes, at: int, size: int, signed: bool = False) -> int:
-    """The little-endian integer in ``data[at : at + size]``."""
-    return int.from_bytes(data[at : at + size], "little", signed=signed)
-
-
-def _modrm_pair(data: bytes, at: int, rule: Rule) -> tuple[int, int]:
-    """(dst, src) of a register-form mov/xor; 89/31 store into r/m, 8b/33 load."""
-    modrm = data[at + 1]
-    reg, rm = (modrm >> 3) & 7, modrm & 7
-    return (rm, reg) if data[at] in (0x89, 0x31) else (reg, rm)
-
-
-# Operand extraction per mnemonic, from the instruction's bytes and its rule:
-# a register encoded in a byte is that byte's offset from the rule's range start.
-_OPERANDS = {
-    Mnemonic.PUSH_REG: lambda d, o, r: (d[o] - r.first[0],),
-    Mnemonic.POP_REG: lambda d, o, r: (d[o] - r.first[0],),
-    Mnemonic.RET_IMM16: lambda d, o, r: (_le(d, o + 1, 2),),
-    Mnemonic.INT_IMM8: lambda d, o, r: (d[o + 1],),
-    Mnemonic.PUSH_IMM32: lambda d, o, r: (_le(d, o + 1, 4),),
-    Mnemonic.MOV_REG_IMM32: lambda d, o, r: (d[o] - r.first[0], _le(d, o + 1, 4)),
-    Mnemonic.MOV_REG_REG: _modrm_pair,
-    Mnemonic.XOR_REG_REG: _modrm_pair,
-    Mnemonic.CALL_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
-    Mnemonic.JMP_INDIRECT: lambda d, o, r: (d[o + 1] - r.second[0],),
-    Mnemonic.ADD_ESP_IMM8: lambda d, o, r: (_le(d, o + 2, 1, True),),
-    Mnemonic.ADD_ESP_IMM32: lambda d, o, r: (_le(d, o + 2, 4, True),),
-    Mnemonic.RET: lambda d, o, r: (),
-    Mnemonic.LEAVE: lambda d, o, r: (),
-    Mnemonic.NOP: lambda d, o, r: (),
-}
+def _operand(field: Reg | Imm, data: bytes, at: int) -> int:
+    """The value of ``field`` in the encoding at ``data[at]``."""
+    at += field.at
+    if type(field) is Reg:
+        return data[at] >> field.shift & 7
+    return int.from_bytes(data[at : at + field.size], "little", signed=field.signed)
 
 
 def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
@@ -198,7 +207,7 @@ def decode_one(data: bytes, offset: int, vaddr: int = 0) -> Instruction:
     rule = RULE_OF[RULE_AT[data[offset] << 8 | second]]
     if rule is None or offset + rule.length > n:
         return Instruction(vaddr, 1, Mnemonic.UNKNOWN)
-    operands = _OPERANDS[rule.mnemonic](data, offset, rule)
+    operands = tuple([_operand(f, data, offset) for f in rule.fields])
     return Instruction(vaddr, rule.length, rule.mnemonic, operands)
 
 
@@ -228,41 +237,13 @@ def free_branch_kind(insn: Instruction) -> FreeBranchKind | None:
     return FREE_BRANCH_OF.get(insn.mnemonic)
 
 
-def _imm(v: int) -> str:
-    return f"-{-v:#x}" if v < 0 else f"{v:#x}"
-
-
-# Text per mnemonic, from its operands: the one place instruction text is written.
-_TEXT = {
-    Mnemonic.RET: lambda ops: "ret",
-    Mnemonic.RET_IMM16: lambda ops: f"ret {_imm(ops[0])}",
-    Mnemonic.JMP_INDIRECT: lambda ops: f"jmp {REG_NAMES[ops[0]]}",
-    Mnemonic.CALL_INDIRECT: lambda ops: f"call {REG_NAMES[ops[0]]}",
-    Mnemonic.POP_REG: lambda ops: f"pop {REG_NAMES[ops[0]]}",
-    Mnemonic.PUSH_REG: lambda ops: f"push {REG_NAMES[ops[0]]}",
-    Mnemonic.PUSH_IMM32: lambda ops: f"push {_imm(ops[0])}",
-    Mnemonic.MOV_REG_IMM32: lambda ops: f"mov {REG_NAMES[ops[0]]}, {_imm(ops[1])}",
-    Mnemonic.MOV_REG_REG: lambda ops: f"mov {REG_NAMES[ops[0]]}, {REG_NAMES[ops[1]]}",
-    Mnemonic.XOR_REG_REG: lambda ops: f"xor {REG_NAMES[ops[0]]}, {REG_NAMES[ops[1]]}",
-    Mnemonic.ADD_ESP_IMM8: lambda ops: f"add esp, {_imm(ops[0])}",
-    Mnemonic.ADD_ESP_IMM32: lambda ops: f"add esp, {_imm(ops[0])}",
-    Mnemonic.LEAVE: lambda ops: "leave",
-    Mnemonic.NOP: lambda ops: "nop",
-    Mnemonic.INT_IMM8: lambda ops: f"int {_imm(ops[0])}",
-    Mnemonic.UNKNOWN: lambda ops: "(bad)",
-}
+# Operand fields by mnemonic: every rule of one mnemonic has fields of the same kinds.
+_FIELDS_OF = {r.mnemonic: r.fields for r in RULES}
 
 
 def format_instruction(insn: Instruction) -> str:
     """Fixed debug rendering, roughly Intel syntax."""
-    return _TEXT[insn.mnemonic](insn.operands)
-
-
-def format_encoding(enc: bytes) -> str:
-    """``format_instruction(decode_one(enc, 0))`` for bytes that encode exactly
-    one instruction of the subset, without building the :class:`Instruction`."""
-    second = enc[1] if len(enc) > 1 else 0
-    rule = RULE_OF[RULE_AT[enc[0] << 8 | second]]
-    if rule is None or rule.length != len(enc):
-        raise ValueError(f"{enc.hex()} is not one instruction of the subset")
-    return _TEXT[rule.mnemonic](_OPERANDS[rule.mnemonic](enc, 0, rule))
+    fields = _FIELDS_OF.get(insn.mnemonic, ())
+    return TEXT[insn.mnemonic] % tuple(
+        [REG_NAMES[v] if type(f) is Reg else v for f, v in zip(fields, insn.operands)]
+    )

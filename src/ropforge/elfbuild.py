@@ -101,6 +101,9 @@ def build_elf(
     records = [
         _Record(s.name, image.SHT_PROGBITS, _sh_flags(s.flags), s.vaddr, s.data) for s in sections
     ]
+    # .dynsym and .dynstr are allocated, as in a linked image, so they get
+    # addresses of their own: one after the other, past every other section.
+    free = max((s.vaddr + len(s.data) for s in sections), default=0)
     for table_symbols, name, sh_type, str_name, flags in (
         (symbols, ".symtab", image.SHT_SYMTAB, ".strtab", 0),
         (dyn_symbols, ".dynsym", image.SHT_DYNSYM, ".dynstr", image.SHF_ALLOC),
@@ -108,9 +111,10 @@ def build_elf(
         if table_symbols:
             strtab = _Strtab()
             blob = _symtab_blob(table_symbols, strtab, section_index)
+            at = (free, free + len(blob)) if flags else (0, 0)
             link = len(records) + 2  # the string table's header index, after the null entry
-            records.append(_Record(name, sh_type, flags, 0, blob, link, image.SYM.size, 1))
-            records.append(_Record(str_name, image.SHT_STRTAB, flags, 0, bytes(strtab.blob)))
+            records.append(_Record(name, sh_type, flags, at[0], blob, link, image.SYM.size, 1))
+            records.append(_Record(str_name, image.SHT_STRTAB, flags, at[1], bytes(strtab.blob)))
 
     # The name table's own content depends only on the section names, so it
     # can be finalized before layout like any other data blob.

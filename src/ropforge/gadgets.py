@@ -12,13 +12,13 @@ instruction's encoding (its head), then the bytes of its parent, the window
 from its second instruction.  So level by level, across sections, each
 distinct (head, parent id) pair gets one gadget id, and ids stand for
 distinct byte strings without any window's bytes being sliced or hashed.
-Each id's text is its head's text
-(:func:`ropforge.disasm.format_encoding`, once per distinct head), then
-``" ; "`` and its parent's text.  The rows are two numpy arrays, address and
-gadget id, in address order.  A gadget's class is a byte pattern read
-through the same byte-class table the cleanup search uses.  Each id's
-bytes, the per-gadget entries and the decoded :class:`Gadget` are built only
-when asked for.
+The distinct heads stay packed (:func:`ropforge.kernels.pack_encodings`) and
+are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
+each id's text is its head's text, then ``" ; "`` and its parent's text.
+The rows are two numpy arrays, address and gadget id, in address order.  A
+gadget's class is a byte pattern read through the same byte-class table the
+cleanup search uses.  The heads' and ids' bytes, the per-gadget entries and
+the decoded :class:`Gadget` are built only when asked for.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .disasm import (
     Instruction,
     Mnemonic,
     decode_window,
-    format_encoding,
     format_instruction,
     free_branch_kind,
 )
@@ -192,6 +191,15 @@ def _join_up(heads: list, head_of: list[int], parent_of: list[int], sep):
     return out
 
 
+def _head_bytes(heads) -> list[bytes]:
+    """The bytes of each head :func:`ropforge.kernels.pack_encodings` packed:
+    its first byte gives its length, and its bytes open its packed form."""
+    big = heads.astype(">u8").tobytes()
+    at = range(8 - MAX_INSN_LEN, len(big), 8)
+    first = (heads >> 8 * (MAX_INSN_LEN - 1)).tolist()
+    return [big[i : i + _FIRST_LENGTH[f]] for i, f in zip(at, first)]
+
+
 def _by_bytes(raws: list[bytes]) -> list[int]:
     """Gadget ids in the order of their bytes."""
     return sorted(range(len(raws)), key=raws.__getitem__)
@@ -205,9 +213,12 @@ class GadgetListing(Sequence[GadgetEntry]):
     one item per occurrence, its address and its gadget's id, ascending by
     address and, at one address, by bytes.  ``id_texts[i]`` is gadget ``i``'s
     text.  Gadget ``i`` is the head encoding ``heads[head_of[i]]`` followed
-    by gadget ``parent_of[i]`` (-1 for none), which has a lower id.
+    by gadget ``parent_of[i]`` (-1 for none), which has a lower id; ``heads``
+    is a numpy array of the distinct heads, packed by
+    :func:`ropforge.kernels.pack_encodings`, ascending.
 
-    ``id_bytes`` (the bytes of each id) and what library callers read --
+    ``id_bytes`` (the bytes of each id, read out of the packed heads) and
+    what library callers read --
     ``rows`` (``(vaddr, bytes)`` per occurrence, in the order above),
     ``texts`` (each unique gadget's bytes to its text) and the
     :class:`GadgetEntry` tuple -- are built on first access.
@@ -221,7 +232,8 @@ class GadgetListing(Sequence[GadgetEntry]):
 
     @functools.cached_property
     def id_bytes(self) -> list[bytes]:
-        return _join_up(*self._trie, b"")
+        heads, head_of, parent_of = self._trie
+        return _join_up(_head_bytes(heads), head_of, parent_of, b"")
 
     @functools.cached_property
     def rows(self) -> list[tuple[int, bytes]]:
@@ -313,12 +325,6 @@ def enumerate_gadgets(
         parent_of.append((key & 0xFFFFFFFF) - 1)
     head_of, parent_of = np.concatenate(head_of).tolist(), np.concatenate(parent_of).tolist()
 
-    # A head's first byte gives its length; its bytes open its packed form.
-    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
-    big = heads.astype(">u8").tobytes()
-    at = range(8 - MAX_INSN_LEN, len(big), 8)
-    head_bytes = [big[i : i + n] for i, n in zip(at, size.tolist())]
-
     # The occurrences by address.  Only overlapping sections put several at
     # one address: an occurrence two of them share is listed once, and the
     # others list by bytes, which ids follow within a level only.
@@ -326,11 +332,12 @@ def enumerate_gadgets(
     order = np.argsort(addr)
     addr, gid = addr[order], gid[order]
     if (addr[1:] == addr[:-1]).any():
-        rank = np.argsort(_by_bytes(_join_up(head_bytes, head_of, parent_of, b"")))
+        rank = np.argsort(_by_bytes(_join_up(_head_bytes(heads), head_of, parent_of, b"")))
         order = np.lexsort((rank[gid], addr))
         addr, gid = addr[order], gid[order]
         first = np.ones(len(addr), bool)
         first[1:] = (addr[1:] != addr[:-1]) | (gid[1:] != gid[:-1])
         addr, gid = addr[first], gid[first]
-    texts = _join_up([format_encoding(h) for h in head_bytes], head_of, parent_of, " ; ")
-    return GadgetListing(addr, gid, texts, head_bytes, head_of, parent_of)
+    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
+    texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
+    return GadgetListing(addr, gid, texts, heads, head_of, parent_of)

@@ -21,8 +21,12 @@ is tried twice and no window needs de-duplicating.  :func:`window_trie` keeps
 the levels, with each window's first-instruction length and its parent's
 index, for the gadget listing; :func:`scan_gadget_windows` flattens them into
 sorted ``(start, end)`` pairs.  :func:`pack_encodings` reads encodings at
-given starts as integers that order as their bytes do, and
-:func:`render_rows` writes the listing's rows with numpy gathers.
+given starts as integers that order as their bytes do; the listing keeps its
+distinct heads in that packed form and builds their bytes only on demand.
+:func:`render_heads` renders packed encodings in one batch per rule, reading
+each rule's operand fields and its mnemonic's text template from
+:mod:`ropforge.disasm`, and :func:`render_rows` writes the listing's rows
+with numpy gathers.
 """
 
 from __future__ import annotations
@@ -139,6 +143,51 @@ def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.nda
         byte = np.where(i < length, arr.take(start + i, mode="clip"), 0)
         packed |= byte.astype(np.int64) << 8 * (disasm.MAX_INSN_LEN - 1 - i)
     return packed
+
+
+def _byte(packed: np.ndarray, at: int) -> np.ndarray:
+    """Byte ``at`` of each encoding :func:`pack_encodings` packed."""
+    return packed >> 8 * (disasm.MAX_INSN_LEN - 1 - at) & 0xFF
+
+
+def _column(field, packed: np.ndarray) -> list:
+    """The operand ``field`` of each packed encoding, as
+    :func:`ropforge.disasm.format_instruction` fills it in: a register's
+    name, an immediate's value."""
+    if type(field) is disasm.Reg:
+        reg = _byte(packed, field.at) >> field.shift & 7
+        return list(map(disasm.REG_NAMES.__getitem__, reg.tolist()))
+    value = sum(_byte(packed, field.at + i) << 8 * i for i in range(field.size))
+    if field.signed:  # two's complement: the top bit counts negative
+        bits = 8 * field.size
+        value -= value >> bits - 1 << bits
+    return value.tolist()
+
+
+def render_heads(packed: np.ndarray, length: np.ndarray) -> list[str]:
+    """``format_instruction(decode_one(enc, 0))`` of each encoding ``enc``
+    that :func:`pack_encodings` packed with its ``length``.
+
+    Encodings that select the same rule are rendered together: their operand
+    columns are read in numpy and filled into the mnemonic's text template by
+    one ``map``.  In ascending order, each rule's encodings form one run.
+    Raises ValueError when one is not exactly one instruction of the subset.
+    """
+    pair = packed >> 8 * (disasm.MAX_INSN_LEN - 2)  # the first two bytes
+    rule = _RULE_AT[pair]
+    if not (rule.all() and (_PAIR_LENGTH[pair] == length).all()):
+        raise ValueError("an encoding that is not one instruction of the subset")
+    # A run starts wherever the rule changes, and at 0, since no rule is 0.
+    bounds = [*np.flatnonzero(np.diff(rule, prepend=0)).tolist(), len(rule)]
+    texts: list[str] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        r = disasm.RULE_OF[rule[lo]]
+        template = disasm.TEXT[r.mnemonic]
+        if r.fields:
+            texts += map(template.__mod__, zip(*[_column(f, packed[lo:hi]) for f in r.fields]))
+        else:
+            texts += [template] * (hi - lo)
+    return texts
 
 
 def scan_gadget_windows(

@@ -9,11 +9,19 @@ byte runs from each other.
 
 from __future__ import annotations
 
+import os
+
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.image import load_image
+
+# In CI (GitHub Actions sets CI), runs are derandomized and a failing property
+# prints the blob that replays it locally through @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 TEXT_VADDR = 0x08048400
 DATA_VADDR = 0x0804A020

@@ -12,7 +12,7 @@ import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET, insn_text
 from ropforge import gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
-from ropforge.disasm import RULES, FreeBranchKind, decode_window
+from ropforge.disasm import FREE_BRANCH_OF, RULES, FreeBranchKind, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
 from ropforge.errors import MissingCleanupGadgetError
 from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
@@ -302,6 +302,22 @@ def test_gadget_ids_follow_bytes(img):
     rows = [(a, raws[g]) for a, g in zip(listing.addr.tolist(), listing.gid.tolist())]
     assert rows == sorted(windows)
     assert rows == listing.rows
+
+
+def test_listing_renders_every_rule():
+    # one encoding of every rule, each followed by ret, in one section: each
+    # heads a listed gadget whose text is its decode's
+    heads = [
+        bytes([r.first[1], *(r.second[1:] if r.second else ())]).ljust(r.length, b"\xf0")
+        for r in RULES
+    ]
+    listing = enumerate_gadgets(image_of(b"".join(h + b"\xc3" for h in heads)))
+    for e in listing:
+        assert e.text == e.gadget.render()
+    for r, h in zip(RULES, heads):
+        raw = h if r.mnemonic in FREE_BRANCH_OF else h + b"\xc3"
+        assert decode_window(raw, 0, len(raw))[0].mnemonic is r.mnemonic
+        assert raw in listing.texts
 
 
 def test_every_first_byte_has_one_length():

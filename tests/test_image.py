@@ -125,14 +125,40 @@ def test_readelf_reads_dynsym_and_notype_symbols(tmp_path):
     # Each table links to the string table after it: [3] -> [4], [5] -> [6].
     assert re.search(r"\[ 3\] \.symtab\s+SYMTAB\s+00000000\s+\S+\s+000030 10\s+4\s+1\s+1", out)
     assert re.search(r"\[ 4\] \.strtab\s+STRTAB\s+00000000\s+\S+\s+00000c 00\s+0\s+0\s+1", out)
-    assert re.search(r"\[ 5\] \.dynsym\s+DYNSYM\s+00000000\s+\S+\s+000030 10\s+A\s+6\s+1\s+1", out)
-    assert re.search(r"\[ 6\] \.dynstr\s+STRTAB\s+00000000\s+\S+\s+00000d 00\s+A\s+0\s+0\s+1", out)
+    # The allocated pair sits past .rodata's end, one table after the other.
+    assert re.search(r"\[ 5\] \.dynsym\s+DYNSYM\s+0804900c\s+\S+\s+000030 10\s+A\s+6\s+1\s+1", out)
+    assert re.search(r"\[ 6\] \.dynstr\s+STRTAB\s+0804903c\s+\S+\s+00000d 00\s+A\s+0\s+0\s+1", out)
     assert re.search(r"08048000\s+16 FUNC\s+GLOBAL DEFAULT\s+1 start", out)
     assert re.search(r"08049004\s+0 NOTYPE\s+GLOBAL DEFAULT\s+2 mark", out)
     assert re.search(r"0804800f\s+1 FUNC\s+GLOBAL DEFAULT\s+1 dynfn", out)
     assert re.search(r"08049000\s+12 OBJECT\s+GLOBAL DEFAULT\s+2 table", out)
     assert "Symbol table '.dynsym' contains 3 entries" in out
     assert "Symbol table '.symtab' contains 3 entries" in out
+
+
+def test_dynsym_sections_overlap_no_section():
+    """.dynsym and .dynstr are allocated at addresses of their own, so
+    address 0 stays unmapped and no two allocated sections share a byte."""
+    img = load_image(
+        build_elf(
+            [
+                SectionSpec(".data", 0x0804A000, b"d" * 0x20, "wa"),
+                SectionSpec(".text", 0x08048000, b"\x90" * 15 + b"\xc3", "ax"),
+            ],
+            symbols=[SymbolSpec("start", 0x08048000, 16)],
+            dyn_symbols=[
+                SymbolSpec("dynfn", 0x0804800F, 1),
+                SymbolSpec("buf", 0x0804A000, 32, "object"),
+            ],
+        )
+    )
+    assert {".dynsym", ".dynstr"} <= {s.name for s in img.sections}
+    with pytest.raises(OutOfRangeError):
+        read_virtual(img, 0, 8)
+    spans = sorted((s.vaddr, s.vaddr + s.size) for s in img.sections)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    for sec in img.sections:
+        assert read_virtual(img, sec.vaddr, sec.size) == sec.data
 
 
 def test_lookup_symbol_demo_addresses(demo_image):

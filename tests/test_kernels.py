@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
@@ -13,6 +14,7 @@ from ropforge.disasm import (
     RULES,
     Mnemonic,
     decode_one,
+    format_instruction,
     free_branch_kind,
 )
 
@@ -182,3 +184,81 @@ def test_window_trie_levels_match_brute_force(data, window_back, max_insns):
     assert len(set(windows)) == len(windows)
     assert set(windows) == set(kernels.scan_gadget_windows(data, window_back, max_insns))
     assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
+
+
+def packed(encodings: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The encodings packed as the listing packs heads, and their lengths."""
+    length = np.array([len(e) for e in encodings], np.intp)
+    start = np.cumsum(length) - length
+    return kernels.pack_encodings(b"".join(encodings), start, length), length
+
+
+def assert_rendered_as_decoded(encodings: list[bytes]):
+    texts = kernels.render_heads(*packed(encodings))
+    assert texts == [format_instruction(decode_one(e, 0)) for e in encodings]
+
+
+def opcodes(rule) -> list[bytes]:
+    """Every opcode, and ModRM byte if the rule reads one, that ``rule`` admits."""
+    ranges = [rule.first] + ([rule.second] if rule.second else [])
+    return [bytes(b) for b in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))]
+
+
+def every_encoding(rule) -> list[bytes]:
+    rest = rule.length - len(opcodes(rule)[0])
+    imms = list(itertools.product(range(256), repeat=rest))
+    return [op + bytes(imm) for op in opcodes(rule) for imm in imms]
+
+
+def test_render_heads_every_encoding_up_to_3_bytes():
+    # every ret imm16 and add esp, imm8 value, every ModRM byte of the
+    # 2-byte rules: ascending, in one batch, as the listing renders its heads
+    encodings = sorted(e for r in RULES if r.length <= 3 for e in every_encoding(r))
+    assert len(encodings) > 1 << 16
+    assert_rendered_as_decoded(encodings)
+
+
+_LONG_RULES = [r for r in RULES if r.length > 3]
+# (opcode bytes, immediate size) of every opcode of the 5- and 6-byte rules.
+_LONG_OPCODES = [(op, r.length - len(op)) for r in _LONG_RULES for op in opcodes(r)]
+# 32-bit immediates at each sign and width boundary.
+_EDGES = [0, 1, 0x7F, 0x80, 0xFF, 0x100, 0x7FFF, 0x8000, 0xFFFF, 0x10000]
+_EDGES += [0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFE, 0xFFFFFFFF]
+
+
+def test_render_heads_long_encodings_at_boundaries():
+    assert {r.length for r in _LONG_RULES} == {5, 6}
+    encodings = [op + v.to_bytes(size, "little") for op, size in _LONG_OPCODES for v in _EDGES]
+    assert_rendered_as_decoded(sorted(encodings))
+
+
+_long_encodings = st.sampled_from(_LONG_OPCODES).flatmap(
+    lambda o: st.binary(min_size=o[1], max_size=o[1]).map(o[0].__add__)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_long_encodings, max_size=40))
+def test_render_heads_long_encodings(encodings):
+    # any order, and ascending without repeats as the listing holds them
+    assert_rendered_as_decoded(encodings)
+    assert_rendered_as_decoded(sorted(set(encodings)))
+
+
+@pytest.mark.parametrize(
+    "encodings",
+    [
+        [bytes([0xFF, m]) for m in [*range(0xD0, 0xD8), *range(0xE0, 0xE8)]],
+        [bytes([op, m]) for op in (0x31, 0x33, 0x89, 0x8B) for m in (0xC1, 0xC8, 0xE3, 0xFF)],
+        [bytes([b]) for b in range(0x50, 0x60)],
+        [b"\x58", b"\x68\x01\x00\x00\x80", b"\x90", b"\xb8\xff\xff\xff\xff", b"\xc3"],
+        [b"\xc2\x08\x00"],
+        [b"\xc2" + v.to_bytes(2, "little") for v in (0, 8, 0x7FFF, 0x8000, 0xFFFF)],
+        [],
+    ],
+    ids=["call-jmp", "xor-mov-orders", "push-pop", "runs-of-one", "one-head", "one-rule", "empty"],
+)
+def test_render_heads_across_run_boundaries(encodings):
+    # neighbouring rules that share a first byte, sit next to each other in
+    # byte order, or read their operands in opposite orders
+    assert_rendered_as_decoded(encodings)
