@@ -5,11 +5,11 @@ section bytes: finding every offset where a free-branch instruction decodes
 (byte granularity, aligned or not) and finding the decode windows that end in
 one (the backward-from-``ret`` scan of Shacham, CCS 2007).
 
-Both run on two per-offset ``uint8`` arrays built once per section: the
-encoded length and the class (normal, unknown, or a free-branch kind) of the
-instruction that decodes at each offset.  They are two reads, over each
-offset's byte pair ``first << 8 | second``, of 65,536-entry tables built from
-:data:`ropforge.disasm.RULE_AT`, the lookup the decoder itself uses.
+Both run on one per-offset ``uint8`` array built once per section, the code
+of the instruction that decodes at each offset (:func:`instruction_codes`):
+one read, over each offset's byte pair, of a 65,536-entry table built from
+:data:`ropforge.disasm.RULE_AT`, the lookup the decoder itself uses.  The
+terminators, and the lowest one closing each end, are read from the codes.
 
 Windows are found backward.  Every terminator starts a one-instruction window;
 a window starting at ``q`` grows to ``q - k`` when a normal instruction of
@@ -21,8 +21,8 @@ is tried twice and no window needs de-duplicating.  :func:`window_trie` keeps
 the levels, with each window's first-instruction length and its parent's
 index, for the gadget listing; :func:`scan_gadget_windows` flattens them into
 sorted ``(start, end)`` pairs.  :func:`pack_encodings` reads encodings at
-given starts as integers that order as their bytes do; the listing keeps its
-distinct heads in that packed form and builds their bytes only on demand.
+given starts, by one gather, as integers that order as their bytes do; the
+listing keeps its distinct heads in that form and builds their bytes only on demand.
 :func:`render_heads` renders packed encodings in one batch per rule, reading
 each rule's operand fields and its mnemonic's text template from
 :mod:`ropforge.disasm`, and :func:`render_rows` writes the listing's rows
@@ -36,55 +36,49 @@ import numpy as np
 from . import disasm
 from .disasm import FreeBranchKind
 
-# Instruction classes in the per-offset class array. Free-branch codes equal
-# the FreeBranchKind enum values.
-K_NORMAL = 0
-K_UNKNOWN = 0xFF
-_KIND_OF = (None, *FreeBranchKind)  # indexed by a free-branch code, 1-4
+# The free-branch kind of each rule, indexed like RULE_OF; None for the others.
+_KIND_OF = (None, *(disasm.FREE_BRANCH_OF.get(r.mnemonic) for r in disasm.RULES))
 
-# The steps of the backward window search: lengths of the non-free-branch rules.
-_NORMAL_LENGTHS = sorted(
-    {r.length for r in disasm.RULES if r.mnemonic not in disasm.FREE_BRANCH_OF}
-)
-
-# Length and class of the instruction each byte pair starts; no rule is unknown, length 1.
+# The code of the instruction each byte pair starts: 0 for no rule, the length
+# k of a normal rule, _FREE + k for a free branch of length k.  _CODE is
+# indexed by the pair read as a little-endian word, second << 8 | first.
+_FREE = 8
 _RULE_AT = np.frombuffer(disasm.RULE_AT, np.uint8)
-_PAIR_LENGTH = np.array([1] + [r.length for r in disasm.RULES], np.uint8)[_RULE_AT]
-_PAIR_CLASS = np.array(
-    [K_UNKNOWN] + [disasm.FREE_BRANCH_OF.get(r.mnemonic, K_NORMAL) for r in disasm.RULES],
-    np.uint8,
-)[_RULE_AT]
+_RULE_LENGTH = np.array([0, *(r.length for r in disasm.RULES)], np.uint8)
+_RULE_CODE = _RULE_LENGTH + _FREE * np.array([k is not None for k in _KIND_OF], np.uint8)
+_CODE = _RULE_CODE[_RULE_AT].reshape(256, 256).T.ravel()
+
+# The steps of the backward window search, and the free-branch lengths.
+_NORMAL_LENGTHS = sorted({c for c in _RULE_CODE.tolist() if 0 < c < _FREE})
+_FREE_LENGTHS = sorted({c - _FREE for c in _RULE_CODE.tolist() if c > _FREE})
 
 
-def length_class(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offset (length, class) of the instruction decoding there.
+def _words(data: bytes, dtype: str) -> np.ndarray:
+    """The ``dtype`` word at each offset of ``data``, bytes past its end read as 0."""
+    return np.ndarray((len(data),), dtype, buffer=data + bytes(8), strides=(1,))
+
+
+def instruction_codes(data: bytes) -> np.ndarray:
+    """Per-offset ``uint8`` code of the instruction decoding in ``data``: 0 for
+    none, ``k`` for a normal instruction of length ``k``, ``8 + k`` for a free
+    branch of length ``k``.
 
     Agrees with :func:`ropforge.disasm.decode_one` at every offset: an offset
-    no rule matches, or whose encoding would run past the end of ``arr``, is
-    ``K_UNKNOWN`` with length 1.  The last offset's missing second byte reads
-    as 0, as in the decoder.
+    no rule matches, or whose encoding would run past the end of ``data``, is
+    0.  The last offset's missing second byte reads as 0, as in the decoder.
     """
-    n = len(arr)
-    pair = arr.astype(np.uint16) << 8
-    pair[:-1] |= arr[1:]
-    length = _PAIR_LENGTH[pair]
-    klass = _PAIR_CLASS[pair]
+    n = len(data)
+    code = _CODE.take(_words(data, "<u2"))
     tail = np.arange(max(n - disasm.MAX_INSN_LEN + 1, 0), n)
-    cut = tail[tail + length[tail] > n]
-    length[cut] = 1
-    klass[cut] = K_UNKNOWN
-    return length, klass
-
-
-def _free_branch_offsets(klass: np.ndarray) -> np.ndarray:
-    return np.flatnonzero((klass != K_NORMAL) & (klass != K_UNKNOWN)).astype(np.int32)
+    code[tail[tail + code[tail] % _FREE > n]] = 0
+    return code
 
 
 def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
-    _, klass = length_class(np.frombuffer(data, dtype=np.uint8))
-    offsets = _free_branch_offsets(klass)
-    return [(o, _KIND_OF[k]) for o, k in zip(offsets.tolist(), klass[offsets].tolist())]
+    offsets = np.flatnonzero(instruction_codes(data) >= _FREE)
+    rule = _RULE_AT[_words(data, ">u2")[offsets]]  # first << 8 | second
+    return list(zip(offsets.tolist(), map(_KIND_OF.__getitem__, rule.tolist())))
 
 
 def window_trie(data: bytes, window_back: int, max_insns: int) -> list[tuple[np.ndarray, ...]]:
@@ -98,28 +92,29 @@ def window_trie(data: bytes, window_back: int, max_insns: int) -> list[tuple[np.
     windows are in no order.  The windows are those of
     :func:`scan_gadget_windows`.
     """
-    arr = np.frombuffer(data, dtype=np.uint8)
-    n = len(arr)
-    length, klass = length_class(arr)
-    normal = np.where(klass == K_NORMAL, length, 0)
-    start = _free_branch_offsets(klass)
-    end = start + length[start]
+    code = instruction_codes(data)
+    start = np.flatnonzero(code >= _FREE)
+    head = code[start] - _FREE
+    end = start + head
     # The terminators closing one end start 1 to 3 bytes before it, so for
     # window_back >= 1 their ranges [t - window_back, t] join into one, bounded
-    # below by the lowest of them.  min() keeps the subtraction in range: a
-    # start more than n bytes back lies before offset 0 anyway.
-    lowest = np.full(n + 1, n, np.int32)
-    np.minimum.at(lowest, end, start)
-    bound = np.maximum(lowest - min(window_back, n), 0)[end]
-    levels = [(start, end, length[start], np.full(len(start), -1, np.intp))]
+    # below by the lowest of them: the longest free branch that ends there.
+    # min() keeps the subtraction in range: a start more than n bytes back
+    # lies before offset 0 anyway.
+    lowest = start
+    for k in _FREE_LENGTHS:
+        t = end - k
+        lowest = np.where((t >= 0) & (code.take(t, mode="clip") == _FREE + k), t, lowest)
+    bound = np.maximum(lowest - min(window_back, len(data)), 0)
+    levels = [(start, end, head, np.full(len(start), -1, np.intp))]
     for _ in range(max_insns - 1):
-        # One more instruction in front: a normal one of length k at q - k.
-        # take(mode="clip") reads offset 0 for starts before the section, which
-        # the bound rejects.
+        # One more instruction in front: a normal one of length k at q - k,
+        # whose code is k.  take(mode="clip") reads offset 0 for starts before
+        # the section, which the bound rejects.
         found = []
         for k in _NORMAL_LENGTHS:
             s = start - k
-            parent = np.flatnonzero((s >= bound) & (normal.take(s, mode="clip") == k))
+            parent = np.flatnonzero((s >= bound) & (code.take(s, mode="clip") == k))
             head = np.full(len(parent), k, np.uint8)
             found.append((s[parent], end[parent], head, parent, bound[parent]))
         start, end, head, parent, bound = (np.concatenate(col) for col in zip(*found))
@@ -127,6 +122,10 @@ def window_trie(data: bytes, window_back: int, max_insns: int) -> list[tuple[np.
             break
         levels.append((start, end, head, parent))
     return levels
+
+
+# At index k: the top k of the MAX_INSN_LEN bytes that pack_encodings packs.
+_MASK = (1 << 8 * disasm.MAX_INSN_LEN) - (1 << 8 * np.arange(disasm.MAX_INSN_LEN, -1, -1, np.int64))
 
 
 def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -137,12 +136,11 @@ def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.nda
     start alike are equally long: they pack to equal numbers exactly when
     their bytes are equal, and in the order of their bytes.
     """
-    arr = np.frombuffer(data, dtype=np.uint8)
-    packed = np.zeros(len(start), np.int64)
-    for i in range(disasm.MAX_INSN_LEN):
-        byte = np.where(i < length, arr.take(start + i, mode="clip"), 0)
-        packed |= byte.astype(np.int64) << 8 * (disasm.MAX_INSN_LEN - 1 - i)
-    return packed
+    # The 8 bytes at each start, the first on top.  The shift drops the two
+    # past MAX_INSN_LEN and sign-extends a first byte >= 0x80 into the top
+    # 16 bits, which the mask clears along with the bytes past ``length``.
+    words = _words(data, "<u8")[start].byteswap().view(np.int64)
+    return (words >> 8 * (8 - disasm.MAX_INSN_LEN)) & _MASK[length]
 
 
 def _byte(packed: np.ndarray, at: int) -> np.ndarray:
@@ -175,7 +173,7 @@ def render_heads(packed: np.ndarray, length: np.ndarray) -> list[str]:
     """
     pair = packed >> 8 * (disasm.MAX_INSN_LEN - 2)  # the first two bytes
     rule = _RULE_AT[pair]
-    if not (rule.all() and (_PAIR_LENGTH[pair] == length).all()):
+    if not (rule.all() and (_RULE_LENGTH[rule] == length).all()):
         raise ValueError("an encoding that is not one instruction of the subset")
     # A run starts wherever the rule changes, and at 0, since no rule is 0.
     bounds = [*np.flatnonzero(np.diff(rule, prepend=0)).tolist(), len(rule)]

@@ -1,6 +1,7 @@
 """The decoder's rule table and the vectorized scanner built on it."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,19 +20,19 @@ from ropforge.disasm import (
 )
 
 
-def decoded(data: bytes, offset: int) -> tuple[int, int]:
-    """(length, class) at ``offset`` as the reference decoder sees it."""
+def decoded(data: bytes, offset: int) -> int:
+    """The code at ``offset`` as the reference decoder sees it: 0 for unknown,
+    the length of a normal instruction, 8 + the length of a free branch."""
     insn = decode_one(data, offset)
-    kind = free_branch_kind(insn)
     if insn.mnemonic is Mnemonic.UNKNOWN:
-        return insn.length, kernels.K_UNKNOWN
-    return insn.length, kernels.K_NORMAL if kind is None else int(kind)
+        return 0
+    return insn.length + (8 if free_branch_kind(insn) else 0)
 
 
-def vectorized(data: bytes) -> list[tuple[int, int]]:
-    length, klass = kernels.length_class(np.frombuffer(data, np.uint8))
-    assert length.dtype == klass.dtype == np.uint8
-    return list(zip(length.tolist(), klass.tolist()))
+def vectorized(data: bytes) -> list[int]:
+    code = kernels.instruction_codes(data)
+    assert code.dtype == np.uint8
+    return code.tolist()
 
 
 def test_rules_are_disjoint():
@@ -160,6 +161,36 @@ def test_window_back_clamps_to_the_section():
     assert kernels.scan_gadget_windows(data, 10**12, 10**11) == whole
 
 
+@pytest.mark.parametrize("max_insns", range(1, 6))
+@pytest.mark.parametrize("window_back", range(1, 5))
+@pytest.mark.parametrize(
+    "shape",
+    [b"\xc2\x08\xc3", b"\xc2\xff\xd0", b"\xc2\xc3\xc3"],
+    ids=["c2-xx-c3", "c2-ff-d0", "c2-c3-c3"],
+)
+def test_shared_end_bound_matches_brute_force(shape, window_back, max_insns):
+    # the terminators closing one end start 1 to 3 bytes before it: the lowest
+    # of them bounds how far back the pops in front are reached
+    data = b"\x58" * 6 + shape
+    windows = kernels.scan_gadget_windows(data, window_back, max_insns)
+    assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
+
+
+def test_window_trie_memory_per_byte():
+    # about 10 bytes per byte: the padded copy of the bytes, the intp copy
+    # take() makes of their words, and the codes.  One more n + 1 int32 array,
+    # as a per-end table of terminators would need, adds 4
+    table = np.array([*range(256), *[0xC3, 0xC2, 0xFF, 0x58, 0x5B, 0x5D, 0x90] * 8], np.uint8)
+    data = table[np.random.default_rng(0).integers(0, len(table), 1 << 20)].tobytes()
+    tracemalloc.start()
+    try:
+        kernels.window_trie(data, 20, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(data) < 12
+
+
 @settings(max_examples=300, deadline=None)
 @given(_overlapping_text, st.integers(1, 24), st.integers(1, 5))
 def test_window_trie_levels_match_brute_force(data, window_back, max_insns):
@@ -191,6 +222,31 @@ def packed(encodings: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     length = np.array([len(e) for e in encodings], np.intp)
     start = np.cumsum(length) - length
     return kernels.pack_encodings(b"".join(encodings), start, length), length
+
+
+def assert_packs_as_bytes(data: bytes):
+    # every start and every length; bytes past the section end read as 0
+    start, length = (a.ravel() for a in np.mgrid[: len(data), 1 : MAX_INSN_LEN + 1])
+    got = kernels.pack_encodings(data, start, length).tolist()
+    want = [data[s : s + n].ljust(MAX_INSN_LEN, b"\0") for s, n in zip(start, length)]
+    assert got == [int.from_bytes(w, "big") for w in want]
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_pack_encodings_short_sections(size):
+    assert_packs_as_bytes(bytes(range(0xFF, 0xFF - size, -1)))
+
+
+# At least one byte 0x80-0xff, which reads as a negative int64 before the mask.
+_high_byte_text = st.tuples(
+    st.binary(max_size=12), st.integers(0x80, 0xFF), st.binary(max_size=12)
+).map(lambda t: t[0] + bytes([t[1]]) + t[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_high_byte_text)
+def test_pack_encodings_matches_plain_bytes(data):
+    assert_packs_as_bytes(data)
 
 
 def assert_rendered_as_decoded(encodings: list[bytes]):
