@@ -247,15 +247,19 @@ def cmd_verify(args) -> int:
 def cmd_pattern(args) -> int:
     if args.locate is not None:
         token = args.locate
+        wrong = ChainFileError("--locate takes a 32-bit value or a 4-char window")
         if token.startswith("0x") or token.isdigit():
-            value = int(token, 0)
+            try:
+                value = int(token, 0)
+            except ValueError:
+                raise wrong from None
             if value >= 1 << 32:
                 raise ChainFileError(f"--locate value {token} is wider than 32 bits")
             window = value.to_bytes(4, "little")  # value as read from a register
         elif len(token) == 4:
             window = token.encode("latin-1")
         else:
-            raise ChainFileError("--locate takes a 32-bit value or a 4-char window")
+            raise wrong
         offset = pattern_offset(window)
         if offset is None:
             print("window not found in pattern", file=sys.stderr)

@@ -17,8 +17,10 @@ are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
 each id's text is its head's text, then ``" ; "`` and its parent's text.
 The rows are two numpy arrays, address and gadget id, in address order.  A
 gadget's class is a byte pattern read through the same byte-class table the
-cleanup search uses.  The heads' and ids' bytes, the per-gadget entries and
-the decoded :class:`Gadget` are built only when asked for.
+cleanup search uses.  One record, :class:`Gadget` (bytes and ascending
+addresses), is both a listing item and the cleanup search's answer; the ids'
+bytes, the items and each gadget's decoded instructions are built only when
+asked for.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ from .disasm import (
     MAX_INSN_LEN,
     REG_NAMES,
     RULES,
-    FreeBranchKind,
     Instruction,
     Mnemonic,
     decode_window,
     format_instruction,
-    free_branch_kind,
 )
 from .image import BinaryImage, Section
 
@@ -69,16 +69,24 @@ _PIVOT_LENGTH = {
 
 @dataclass(frozen=True)
 class Gadget:
-    vaddr: int
-    insns: tuple[Instruction, ...]
-    terminator: FreeBranchKind
+    """One unique byte sequence and every address it occurs at, ascending.
+    Its instructions are decoded at its lowest address on first access."""
+
     data: bytes
+    addrs: tuple[int, ...]
+
+    @property
+    def vaddr(self) -> int:
+        return self.addrs[0]
+
+    @functools.cached_property
+    def insns(self) -> tuple[Instruction, ...]:
+        insns = decode_window(self.data, 0, len(self.data), base_vaddr=self.vaddr)
+        assert insns, "a gadget window the decoder rejects"
+        return tuple(insns)
 
     def render(self) -> str:
         return " ; ".join(format_instruction(i) for i in self.insns)
-
-    def __str__(self) -> str:
-        return f"{self.vaddr:#010x}: {self.render()}"
 
 
 @dataclass(frozen=True)
@@ -94,31 +102,6 @@ class GadgetClass:
         if self.kind == "stack_pivot":
             return f"stack_pivot({self.delta})"
         return self.kind
-
-
-@dataclass
-class GadgetEntry:
-    """One unique byte sequence with every address it occurs at.  Its class
-    and its decoded gadget are worked out on first access."""
-
-    data: bytes
-    addrs: tuple[int, ...]
-    text: str  # the rendered instructions, joined by " ; "
-
-    @functools.cached_property
-    def gclass(self) -> GadgetClass:
-        return classify_bytes(self.data)
-
-    @functools.cached_property
-    def gadget(self) -> Gadget:
-        """The gadget decoded at its lowest address."""
-        return _decode_gadget(self.addrs[0], self.data)
-
-
-def _decode_gadget(vaddr: int, raw: bytes) -> Gadget:
-    insns = decode_window(raw, 0, len(raw), base_vaddr=vaddr)
-    assert insns, "a gadget window the decoder rejects"
-    return Gadget(vaddr=vaddr, insns=tuple(insns), terminator=free_branch_kind(insns[-1]), data=raw)
 
 
 def classify_bytes(raw: bytes) -> GadgetClass:
@@ -168,7 +151,10 @@ def lowest_pop_ret(
         if at >= 0:
             clean.append((s.vaddr + at, s.data[at : at + len(run)]))
     found = clean or first
-    return _decode_gadget(*min(found)) if found else None
+    if not found:
+        return None
+    vaddr, raw = min(found)
+    return Gadget(raw, (vaddr,))
 
 
 def find_pop_ret(
@@ -205,7 +191,7 @@ def _by_bytes(raws: list[bytes]) -> list[int]:
     return sorted(range(len(raws)), key=raws.__getitem__)
 
 
-class GadgetListing(Sequence[GadgetEntry]):
+class GadgetListing(Sequence[Gadget]):
     """The unique gadgets of an image, ordered by bytes, and every address
     each occurs at.
 
@@ -215,13 +201,9 @@ class GadgetListing(Sequence[GadgetEntry]):
     text.  Gadget ``i`` is the head encoding ``heads[head_of[i]]`` followed
     by gadget ``parent_of[i]`` (-1 for none), which has a lower id; ``heads``
     is a numpy array of the distinct heads, packed by
-    :func:`ropforge.kernels.pack_encodings`, ascending.
-
-    ``id_bytes`` (the bytes of each id, read out of the packed heads) and
-    what library callers read --
-    ``rows`` (``(vaddr, bytes)`` per occurrence, in the order above),
-    ``texts`` (each unique gadget's bytes to its text) and the
-    :class:`GadgetEntry` tuple -- are built on first access.
+    :func:`ropforge.kernels.pack_encodings`, ascending.  ``id_bytes`` (the
+    bytes of each id, read out of the packed heads) and the :class:`Gadget`
+    items are built on first access.
     """
 
     def __init__(self, addr, gid, id_texts: list[str], heads, head_of, parent_of):
@@ -236,23 +218,12 @@ class GadgetListing(Sequence[GadgetEntry]):
         return _join_up(_head_bytes(heads), head_of, parent_of, b"")
 
     @functools.cached_property
-    def rows(self) -> list[tuple[int, bytes]]:
-        raws = self.id_bytes
-        return [(a, raws[g]) for a, g in zip(self.addr.tolist(), self.gid.tolist())]
-
-    @functools.cached_property
-    def texts(self) -> dict[bytes, str]:
-        return dict(zip(self.id_bytes, self.id_texts))
-
-    @functools.cached_property
-    def entries(self) -> tuple[GadgetEntry, ...]:
+    def entries(self) -> tuple[Gadget, ...]:
         raws = self.id_bytes
         addrs: list[list[int]] = [[] for _ in raws]
         for a, g in zip(self.addr.tolist(), self.gid.tolist()):
             addrs[g].append(a)
-        return tuple(
-            GadgetEntry(raws[i], tuple(addrs[i]), self.id_texts[i]) for i in _by_bytes(raws)
-        )
+        return tuple(Gadget(raws[i], tuple(addrs[i])) for i in _by_bytes(raws))
 
     def __len__(self) -> int:
         return len(self.id_texts)
@@ -325,19 +296,21 @@ def enumerate_gadgets(
         parent_of.append((key & 0xFFFFFFFF) - 1)
     head_of, parent_of = np.concatenate(head_of).tolist(), np.concatenate(parent_of).tolist()
 
+    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
+    texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
+
     # The occurrences by address.  Only overlapping sections put several at
     # one address: an occurrence two of them share is listed once, and the
     # others list by bytes, which ids follow within a level only.
     addr, gid = np.concatenate(addrs), np.concatenate(gids)
     order = np.argsort(addr)
-    addr, gid = addr[order], gid[order]
+    listing = GadgetListing(addr[order], gid[order], texts, heads, head_of, parent_of)
+    addr, gid = listing.addr, listing.gid
     if (addr[1:] == addr[:-1]).any():
-        rank = np.argsort(_by_bytes(_join_up(_head_bytes(heads), head_of, parent_of, b"")))
+        rank = np.argsort(_by_bytes(listing.id_bytes))
         order = np.lexsort((rank[gid], addr))
         addr, gid = addr[order], gid[order]
         first = np.ones(len(addr), bool)
         first[1:] = (addr[1:] != addr[:-1]) | (gid[1:] != gid[:-1])
-        addr, gid = addr[first], gid[first]
-    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
-    texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
-    return GadgetListing(addr, gid, texts, heads, head_of, parent_of)
+        listing.addr, listing.gid = addr[first], gid[first]
+    return listing

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .errors import (
     AmbiguousSymbolError,
@@ -76,9 +75,6 @@ class BinaryImage:
     entry_point: int
     sections: tuple[Section, ...]
     symbols: tuple[Symbol, ...]
-    # Facts of every image the loader accepts, not settable per image.
-    bitness: ClassVar[int] = 32
-    endianness: ClassVar[str] = "little"
 
     @functools.cached_property
     def _by_name(self) -> dict[str, list[Symbol]]:

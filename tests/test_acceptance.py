@@ -109,7 +109,7 @@ def test_criterion_05_gadget_oracle_equivalence():
         data = bytes(rng.choice(weighted) for _ in range(rng.randint(1, 64)))
         img = load_image(build_elf([SectionSpec(".text", 0x08048000, data, "ax")]))
         gset = enumerate_gadgets(img, max_insns=5, window_back=20)
-        mine = {e.gadget.data: list(e.addrs) for e in gset}
+        mine = {e.data: list(e.addrs) for e in gset}
         oracle = oracle_bruteforce.brute_force_gadget_map(data, 0x08048000, 20, 5)
         if mine != oracle:
             mismatches += 1
@@ -131,7 +131,7 @@ def test_criterion_06_unaligned_discovery(demo_image):
     assert oracle == {b"\xc3": [ADDR_UNALIGNED_RET]}
 
     gset = enumerate_gadgets(demo_image)
-    ret_entry = next(e for e in gset if e.gadget.data == b"\xc3")
+    ret_entry = next(e for e in gset if e.data == b"\xc3")
     assert ADDR_UNALIGNED_RET in ret_entry.addrs
 
 

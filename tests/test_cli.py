@@ -8,17 +8,19 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_bruteforce
 from oracle_bruteforce import reference_classify
-from conftest import ADDR_SECRET_NOPARM, ADDR_STR, insn_text
+from conftest import ADDR_POP2, ADDR_SECRET_NOPARM, ADDR_SECRET_PARM, ADDR_STR, insn_text
+from ropforge.chain import CallStep, ChainSpec, plan_chain
 from ropforge.cli import _RENDER, _read_payload, main
-from ropforge.disasm import decode_window, format_instruction, free_branch_kind
+from ropforge.disasm import decode_window, format_instruction
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
-from ropforge.gadgets import Gadget
+from ropforge.gadgets import find_pop_ret
 
 FIG8_CHAIN = """\
 binary: {binary}
@@ -442,6 +444,10 @@ def test_pattern_locate_rejects_values_wider_than_32_bits(capsys):
     for token in ("0x16261616a", "0x100000000", str(1 << 32)):
         assert main(["pattern", "--locate", token]) == 2
         assert "32 bits" in capsys.readouterr().err
+    for token in ("0123", "0x", "0xg1"):
+        assert main(["pattern", "--locate", token]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --locate takes a 32-bit value or a 4-char window\n"
     assert main(["pattern", "--locate", "0xffffffff"]) == 3  # widest value, not in the pattern
 
 
@@ -483,7 +489,8 @@ def _oracle_listing(
     for raw, addrs in occurrences.items():
         lowest = min(addrs)
         insns = tuple(decode_window(raw, 0, len(raw), base_vaddr=lowest))
-        gclass = reference_classify(Gadget(lowest, insns, free_branch_kind(insns[-1]), raw))
+        # the oracle's own decode: a Gadget would decode through ropforge.gadgets
+        gclass = reference_classify(SimpleNamespace(insns=insns))
         if wanted is not None and gclass.kind != wanted:
             continue
         if arity is not None and gclass.arity != arity:
@@ -590,6 +597,33 @@ def test_gadgets_listing_decodes_no_window(demo_binary, demo_image, capsys, monk
     assert main(["gadgets", str(demo_binary), "--json", "--class", "pop_ret"]) == 0
     objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert objects == _oracle_listing(sections, "pop_ret", as_json=True)
+
+
+def test_planner_decodes_no_gadget(demo_binary, demo_image, tmp_path, capsys, monkeypatch):
+    # the cleanup search answers with bytes and an address: planning,
+    # build and verify decode no gadget
+    def refuse(*args, **kwargs):
+        raise AssertionError("the planner decoded a gadget")
+
+    calls = (CallStep(ADDR_SECRET_PARM, (ADDR_STR, ADDR_STR)), CallStep(ADDR_SECRET_NOPARM))
+    chain = tmp_path / "pop2.rop"
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: auto echo\n"
+        "call: SecretFunctionWithParm &str &str\ncall: SecretFunctionWithoutParm\n"
+    )
+    payload = tmp_path / "payload.bin"
+    with monkeypatch.context() as m:
+        m.setattr("ropforge.gadgets.decode_window", refuse)
+        layout = plan_chain(ChainSpec(calls=calls, ret_offset=32), demo_image)
+        assert layout.values()[1] == ADDR_POP2
+        assert main(["build", str(chain), "--format", "raw", "--out", str(payload)]) == 0
+        assert f"cleanup_gadget  {ADDR_POP2:#010x}" in capsys.readouterr().out
+        assert main(["verify", str(demo_binary), str(chain), "--payload", str(payload)]) == 0
+        assert main(["verify", str(demo_binary), str(chain)]) == 0
+        out = capsys.readouterr().out
+    assert out.count("SecretFunctionWithParm(0x0804a030, 0x0804a030)") == 2
+    g = find_pop_ret(demo_image, 2)
+    assert g.insns == tuple(decode_window(g.data, 0, len(g.data), base_vaddr=g.vaddr))
 
 
 @settings(max_examples=100, deadline=None)

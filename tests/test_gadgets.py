@@ -53,15 +53,15 @@ def test_terminator_needs_full_encoding():
 
 def test_enumerate_pop_pop_ret():
     gset = enumerate_gadgets(image_of(b"\x58\x5b\xc3"), max_insns=3)
-    rendered = {e.gadget.render() for e in gset}
+    rendered = {e.render() for e in gset}
     assert rendered == {"pop eax ; pop ebx ; ret", "pop ebx ; ret", "ret"}
     # deterministic ordering: by gadget bytes
-    assert [e.gadget.data for e in gset] == sorted(e.gadget.data for e in gset)
+    assert [e.data for e in gset] == sorted(e.data for e in gset)
 
 
 def test_enumerate_max_insns_cap():
     gset = enumerate_gadgets(image_of(b"\x58\x5b\xc3"), max_insns=1)
-    assert {e.gadget.render() for e in gset} == {"ret"}
+    assert {e.render() for e in gset} == {"ret"}
 
 
 def test_enumerate_empty_section():
@@ -72,13 +72,13 @@ def test_enumerate_matches_brute_force_on_fixture(demo_image):
     text = demo_image.executable_sections()[0]
     gset = enumerate_gadgets(demo_image, max_insns=5, window_back=20)
     oracle = oracle_bruteforce.brute_force_gadget_map(text.data, text.vaddr, 20, 5)
-    mine = {e.gadget.data: list(e.addrs) for e in gset}
+    mine = {e.data: list(e.addrs) for e in gset}
     assert mine == oracle
 
 
 def test_unaligned_gadget_address(demo_image):
     gset = enumerate_gadgets(demo_image)
-    ret_entry = next(e for e in gset if e.gadget.data == b"\xc3")
+    ret_entry = next(e for e in gset if e.data == b"\xc3")
     assert ADDR_UNALIGNED_RET in ret_entry.addrs
 
 
@@ -88,21 +88,22 @@ def test_gadgets_redecode_from_image(demo_image):
     gset = enumerate_gadgets(demo_image)
     for e in gset:
         for addr in e.addrs:
-            assert read_virtual(demo_image, addr, len(e.gadget.data)) == e.gadget.data
+            assert read_virtual(demo_image, addr, len(e.data)) == e.data
 
 
 def test_classification(demo_image):
     gset = enumerate_gadgets(demo_image)
-    by_bytes = {e.gadget.data: e for e in gset}
-    assert by_bytes[b"\x5f\xc3"].gclass.kind == "pop_ret"
-    assert by_bytes[b"\x5f\xc3"].gclass.arity == 1
-    assert by_bytes[b"\x5e\x5f\x5d\xc3"].gclass == classify(by_bytes[b"\x5e\x5f\x5d\xc3"].gadget)
-    assert by_bytes[b"\x5e\x5f\x5d\xc3"].gclass.arity == 3
-    assert by_bytes[b"\x5e\x5f\x5d\xc3"].gclass.regs == (6, 7, 5)  # esi, edi, ebp
-    assert by_bytes[b"\xc3"].gclass.kind == "ret_only"
-    assert by_bytes[b"\x83\xc4\x08\xc3"].gclass.kind == "stack_pivot"
-    assert by_bytes[b"\x83\xc4\x08\xc3"].gclass.delta == 8
-    assert by_bytes[b"\x31\xc0\xc3"].gclass.kind == "other"
+    by_bytes = {e.data: e for e in gset}
+    assert classify(by_bytes[b"\x5f\xc3"]).kind == "pop_ret"
+    assert classify(by_bytes[b"\x5f\xc3"]).arity == 1
+    pop3 = by_bytes[b"\x5e\x5f\x5d\xc3"]
+    assert classify(pop3) == oracle_bruteforce.reference_classify(pop3)
+    assert classify(pop3).arity == 3
+    assert classify(pop3).regs == (6, 7, 5)  # esi, edi, ebp
+    assert classify(by_bytes[b"\xc3"]).kind == "ret_only"
+    assert classify(by_bytes[b"\x83\xc4\x08\xc3"]).kind == "stack_pivot"
+    assert classify(by_bytes[b"\x83\xc4\x08\xc3"]).delta == 8
+    assert classify(by_bytes[b"\x31\xc0\xc3"]).kind == "other"
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,8 +113,7 @@ def test_classification(demo_image):
 def test_classify_matches_reference_classify(data):
     # every valid window of the text, classified from its bytes and from its decode
     for start, end in oracle_bruteforce.brute_force_windows(data, 20, 6):
-        insns = decode_window(data, start, end, base_vaddr=0x08048000)
-        g = Gadget(0x08048000 + start, tuple(insns), None, data[start:end])
+        g = Gadget(data[start:end], (0x08048000 + start,))
         assert classify(g) == oracle_bruteforce.reference_classify(g)
 
 
@@ -123,7 +123,7 @@ def test_find_pop_ret_lowest_address(demo_image):
     # first secret function, below the dedicated gadget zone
     assert find_pop_ret(demo_image, 1).vaddr == 0x0804848F
     assert find_pop_ret(demo_image, 1).render() == "pop ebp ; ret"
-    two = next(e for e in gset if e.gclass.kind == "pop_ret" and e.gclass.arity == 2)
+    two = next(e for e in gset if classify(e).kind == "pop_ret" and classify(e).arity == 2)
     assert two.addrs == (ADDR_POP2, ADDR_POP2_DUP)
     assert find_pop_ret(demo_image, 2).vaddr == ADDR_POP2
     assert find_pop_ret(demo_image, 3).vaddr == ADDR_POP3
@@ -143,15 +143,15 @@ def test_enumeration_equals_brute_force_random(data, max_insns, window_back):
     img = image_of(data)
     gset = enumerate_gadgets(img, max_insns=max_insns, window_back=window_back)
     oracle = oracle_bruteforce.brute_force_gadget_map(data, 0x08048000, window_back, max_insns)
-    assert {e.gadget.data: list(e.addrs) for e in gset} == oracle
+    assert {e.data: list(e.addrs) for e in gset} == oracle
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.binary(min_size=1, max_size=48))
 def test_monotonic_in_max_insns(data):
     img = image_of(data)
-    small = {e.gadget.data for e in enumerate_gadgets(img, max_insns=2)}
-    large = {e.gadget.data for e in enumerate_gadgets(img, max_insns=4)}
+    small = {e.data for e in enumerate_gadgets(img, max_insns=2)}
+    large = {e.data for e in enumerate_gadgets(img, max_insns=4)}
     assert small <= large
 
 
@@ -161,7 +161,7 @@ def test_scan_large_random_matches_brute_force():
     data = bytes(rng.choice(weighted) for _ in range(64 * 1024))
     gset = enumerate_gadgets(image_of(data))
     oracle = oracle_bruteforce.brute_force_gadget_map(data, 0x08048000, 20, 5)
-    assert {e.gadget.data: list(e.addrs) for e in gset} == oracle
+    assert {e.data: list(e.addrs) for e in gset} == oracle
 
 
 def test_pop_esp_is_not_a_cleanup_gadget():
@@ -169,9 +169,9 @@ def test_pop_esp_is_not_a_cleanup_gadget():
     base = 0x08048000
     text = b"\x90\x5c\xc3" + b"\x90" * 13 + b"\x58\xc3" + b"\x90\x58\x5c\xc3"
     img = image_of(text, base)
-    by_bytes = {e.gadget.data: e for e in enumerate_gadgets(img)}
-    assert by_bytes[b"\x5c\xc3"].gclass.kind == "other"
-    assert by_bytes[b"\x58\x5c\xc3"].gclass.kind == "other"
+    by_bytes = {e.data: e for e in enumerate_gadgets(img)}
+    assert classify(by_bytes[b"\x5c\xc3"]).kind == "other"
+    assert classify(by_bytes[b"\x58\x5c\xc3"]).kind == "other"
     g = find_pop_ret(img, 1)
     assert (g.vaddr, g.render()) == (base + 16, "pop eax ; ret")
     assert find_pop_ret(img, 2) is None
@@ -217,23 +217,32 @@ def _found(g):
     return None if g is None else (g.vaddr, g.data)
 
 
-def _assert_entry_matches_its_decode(e):
-    assert e.text == e.gadget.render()
-    assert e.text.split(" ; ") == [str(i) for i in e.gadget.insns]
-    assert e.gclass == oracle_bruteforce.reference_classify(e.gadget)
+def _rows(listing):
+    """(address, bytes) per occurrence, read off the listing's arrays."""
+    return [(a, listing.id_bytes[g]) for a, g in zip(listing.addr.tolist(), listing.gid.tolist())]
+
+
+def _assert_listing_matches_its_decode(listing):
+    # each id's text is its bytes' decode, and each gadget's class its decode's
+    for raw, text in zip(listing.id_bytes, listing.id_texts, strict=True):
+        g = Gadget(raw, (0,))
+        assert text == g.render()
+        assert text.split(" ; ") == [str(i) for i in g.insns]
+    for e in listing:
+        assert classify(e) == oracle_bruteforce.reference_classify(e)
 
 
 def test_entries_match_their_decode_on_fixture(demo_image):
     for max_insns in (1, 5, 12):
-        for e in enumerate_gadgets(demo_image, max_insns=max_insns):
-            _assert_entry_matches_its_decode(e)
+        _assert_listing_matches_its_decode(enumerate_gadgets(demo_image, max_insns=max_insns))
 
 
 @settings(max_examples=80, deadline=None)
 @given(pop_heavy_images(insn_text), st.integers(1, 8), st.integers(1, 30))
 def test_entries_match_their_decode_random(img, max_insns, window_back):
-    for e in enumerate_gadgets(img, max_insns=max_insns, window_back=window_back):
-        _assert_entry_matches_its_decode(e)
+    _assert_listing_matches_its_decode(
+        enumerate_gadgets(img, max_insns=max_insns, window_back=window_back)
+    )
 
 
 @st.composite
@@ -253,18 +262,18 @@ def test_listing_order_and_addresses(img):
     # entries ascend by bytes, each entry's addresses ascend, and the rows
     # ascend by address then bytes, one per occurrence the sections hold
     listing = enumerate_gadgets(img)
+    rows = _rows(listing)
     assert all(a.data < b.data for a, b in zip(listing, listing[1:]))
     assert all(a < b for e in listing for a, b in zip(e.addrs, e.addrs[1:]))
-    assert all(a < b for a, b in zip(listing.rows, listing.rows[1:]))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
     oracle: dict[bytes, set[int]] = {}
     for s in img.executable_sections():
         for raw, addrs in oracle_bruteforce.brute_force_gadget_map(s.data, s.vaddr, 20, 5).items():
             oracle.setdefault(raw, set()).update(addrs)
     assert len(listing) == len(oracle)
     assert {e.data: e.addrs for e in listing} == {raw: tuple(sorted(a)) for raw, a in oracle.items()}
-    assert sorted(listing.rows) == sorted((a, raw) for raw, addrs in oracle.items() for a in addrs)
-    for e in listing:
-        assert e.text == e.gadget.render()
+    assert sorted(rows) == sorted((a, raw) for raw, addrs in oracle.items() for a in addrs)
+    _assert_listing_matches_its_decode(listing)
 
 
 @st.composite
@@ -299,9 +308,7 @@ def test_gadget_ids_follow_bytes(img):
     raws = listing.id_bytes
     assert len(set(raws)) == len(raws) == len(listing)
     assert len(listing) == len({raw for _, raw in windows})
-    rows = [(a, raws[g]) for a, g in zip(listing.addr.tolist(), listing.gid.tolist())]
-    assert rows == sorted(windows)
-    assert rows == listing.rows
+    assert _rows(listing) == sorted(windows)
 
 
 def test_listing_renders_every_rule():
@@ -312,12 +319,11 @@ def test_listing_renders_every_rule():
         for r in RULES
     ]
     listing = enumerate_gadgets(image_of(b"".join(h + b"\xc3" for h in heads)))
-    for e in listing:
-        assert e.text == e.gadget.render()
+    _assert_listing_matches_its_decode(listing)
     for r, h in zip(RULES, heads):
         raw = h if r.mnemonic in FREE_BRANCH_OF else h + b"\xc3"
         assert decode_window(raw, 0, len(raw))[0].mnemonic is r.mnemonic
-        assert raw in listing.texts
+        assert raw in listing.id_bytes
 
 
 def test_every_first_byte_has_one_length():
@@ -338,9 +344,9 @@ def test_find_pop_ret_matches_enumeration(img):
     entries = list(enumerate_gadgets(img))
     for k in range(1, 5):
         hits = [
-            (e.addrs[0], e.gadget.data)
+            (e.addrs[0], e.data)
             for e in entries
-            if classify(e.gadget).render() == f"pop_ret({k})"
+            if classify(e).render() == f"pop_ret({k})"
         ]
         assert _found(find_pop_ret(img, k)) == min(hits, default=None)
 
@@ -354,7 +360,7 @@ def _brute_force_pop_ret(img, k):
                 insns = decode_window(s.data, start, end, base_vaddr=s.vaddr)
                 if insns is None:
                     continue
-                g = Gadget(s.vaddr + start, tuple(insns), None, s.data[start:end])
+                g = Gadget(s.data[start:end], (s.vaddr + start,))
                 if classify(g).render() == f"pop_ret({k})":
                     hits.append((g.vaddr, g.data))
     return min(hits, default=None)
@@ -376,13 +382,12 @@ def test_find_pop_ret_rejects_zero_arity(demo_image):
 def test_gadget_invariants(demo_image):
     from ropforge.disasm import free_branch_kind
 
-    for e in enumerate_gadgets(demo_image):
-        g = e.gadget
-        assert free_branch_kind(g.insns[-1]) == g.terminator
+    for g in enumerate_gadgets(demo_image):
+        assert free_branch_kind(g.insns[-1]) is not None
         assert all(free_branch_kind(i) is None for i in g.insns[:-1])
         assert sum(i.length for i in g.insns) == len(g.data)
         assert g.vaddr + len(g.data) - g.insns[-1].length == g.insns[-1].vaddr
-        assert e.addrs == tuple(sorted(e.addrs))
+        assert g.addrs == tuple(sorted(g.addrs))
 
 
 def _pop_ret_windows(img, k):
@@ -394,7 +399,7 @@ def _pop_ret_windows(img, k):
             insns = decode_window(raw, 0, len(raw), base_vaddr=s.vaddr + start)
             if insns is None:
                 continue
-            g = Gadget(s.vaddr + start, tuple(insns), None, raw)
+            g = Gadget(raw, (s.vaddr + start,))
             if classify(g).render() == f"pop_ret({k})":
                 hits.append((g.vaddr, raw))
     return sorted(hits)

@@ -47,8 +47,6 @@ def test_minimal_single_section_image():
     assert sec.vaddr == 0x08048000
     assert sec.executable
     assert sec.data == b"\x90\xc3"
-    assert img.bitness == 32
-    assert img.endianness == "little"
 
 
 def test_demo_binary_layout(demo_image):

@@ -1,11 +1,13 @@
 """README walkthrough test: every `$ ropforge` line of a console block runs,
-exits 0 and prints what the README shows.
+exits 0 and prints what the README shows, and the python blocks run.
 
 The lines after a command, up to the next `$` line, are its expected stdout;
 a `...` line stands for any run of lines, and all other lines must match
 consecutive lines of the output, from its first line to its last. The
 README's paths `/tmp/demo32`, `demo.rop` and `/tmp/payload.bin` map to files
-under the test's temporary directory.
+under the test's temporary directory.  The python blocks run in turn in one
+namespace, with `/tmp/demo32` mapped the same way, and their chain's trace
+must reach the exit sentinel.
 """
 
 import re
@@ -14,6 +16,7 @@ from pathlib import Path
 
 from conftest import demo_elf_bytes
 from ropforge.cli import main
+from ropforge.sim import TerminationKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -73,3 +76,15 @@ def test_readme_walkthrough(tmp_path, capsys, monkeypatch):
         for readme_path, path in paths.items():
             out = out.replace(str(path), readme_path)
         assert re.fullmatch(_pattern(expected), out), (line, expected, out)
+
+
+def test_readme_library_example(tmp_path, capsys):
+    demo = tmp_path / "demo32"
+    demo.write_bytes(demo_elf_bytes())
+    blocks = _blocks(README.read_text(), "python")
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(block.replace("/tmp/demo32", str(demo)), namespace)
+    assert namespace["trace"].termination.kind is TerminationKind.EXIT_SENTINEL
+    assert "0x08048555 x2: pop edi ; pop ebp ; ret (pop_ret(2))" in capsys.readouterr().out
