@@ -22,7 +22,6 @@ from .chain import (
     unpack_words,
 )
 from .disasm import (
-    FreeBranchKind,
     Instruction,
     Mnemonic,
     decode_one,
@@ -63,7 +62,6 @@ from .pattern import cyclic_pattern, pattern_offset
 from .sim import (
     CallEvent,
     CallTrace,
-    StubTable,
     Termination,
     TerminationKind,
     simulate,
@@ -81,7 +79,6 @@ __all__ = [
     "ChainFileError",
     "ChainSpec",
     "EXIT_SENTINEL",
-    "FreeBranchKind",
     "Gadget",
     "GadgetClass",
     "Instruction",
@@ -97,7 +94,6 @@ __all__ = [
     "SCANF_BAD_BYTES",
     "Section",
     "StackLayout",
-    "StubTable",
     "Symbol",
     "SymbolNotFoundError",
     "Termination",

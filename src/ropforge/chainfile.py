@@ -34,7 +34,6 @@ from .chain import (
 )
 from .errors import ChainFileError
 from .image import BinaryImage, lookup_symbol, stack_frame_displacement
-from .sim import StubTable
 
 OUTPUT_FORMATS = ("raw", "hex", "escaped")
 
@@ -67,7 +66,7 @@ class ChainFile:
 @dataclass(frozen=True)
 class ResolvedChain:
     spec: ChainSpec
-    stubs: StubTable
+    stubs: dict[int, tuple[str, int]]  # call target -> (name, arity), for the simulator
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -171,17 +170,15 @@ def _resolve_ret_offset(cf: ChainFile, image: BinaryImage) -> int:
 def resolve(cf: ChainFile, image: BinaryImage) -> ResolvedChain:
     """Bind a parsed chain file to a loaded binary."""
     calls = []
-    stubs = StubTable()
+    stubs: dict[int, tuple[str, int]] = {}
     for target_token, arg_tokens in cf.calls:
         target = _resolve_address(image, target_token, "call target")
         args = tuple(_resolve_address(image, t, "call argument") for t in arg_tokens)
         calls.append(CallStep(target=target, args=args))
         sym = image.symbol_at(target)
         name = sym.name if sym is not None else f"sub_{target:08x}"
-        try:
-            stubs.add(target, name, len(args))
-        except ValueError as exc:
-            raise ChainFileError(str(exc)) from None
+        if stubs.setdefault(target, (name, len(args)))[1] != len(args):
+            raise ChainFileError(f"conflicting arities for stub at {target:#010x}")
 
     if cf.final == "sentinel":
         final = EXIT_SENTINEL

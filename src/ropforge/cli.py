@@ -248,7 +248,7 @@ def cmd_pattern(args) -> int:
     if args.locate is not None:
         token = args.locate
         wrong = ChainFileError("--locate takes a 32-bit value or a 4-char window")
-        if token.startswith("0x") or token.isdigit():
+        if token.lower().startswith("0x") or token.isdigit():
             try:
                 value = int(token, 0)
             except ValueError:

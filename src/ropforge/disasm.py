@@ -49,21 +49,10 @@ class Mnemonic(enum.Enum):
     __hash__ = object.__hash__
 
 
-class FreeBranchKind(enum.IntEnum):
-    """Control transfers whose target is attacker-influencable at runtime."""
-
-    RET = 1
-    RET_IMM16 = 2
-    JMP_INDIRECT = 3
-    CALL_INDIRECT = 4
-
-
-FREE_BRANCH_OF = {
-    Mnemonic.RET: FreeBranchKind.RET,
-    Mnemonic.RET_IMM16: FreeBranchKind.RET_IMM16,
-    Mnemonic.JMP_INDIRECT: FreeBranchKind.JMP_INDIRECT,
-    Mnemonic.CALL_INDIRECT: FreeBranchKind.CALL_INDIRECT,
-}
+# Control transfers whose target is attacker-influencable at runtime.
+FREE_BRANCHES = frozenset(
+    {Mnemonic.RET, Mnemonic.RET_IMM16, Mnemonic.JMP_INDIRECT, Mnemonic.CALL_INDIRECT}
+)
 
 
 @dataclass(frozen=True)
@@ -160,9 +149,7 @@ TEXT = {
 }
 
 # Encoded length of each terminator, counted from its first byte.
-FREE_BRANCH_LENGTH = {
-    kind: next(r.length for r in RULES if r.mnemonic is m) for m, kind in FREE_BRANCH_OF.items()
-}
+FREE_BRANCH_LENGTH = {r.mnemonic: r.length for r in RULES if r.mnemonic in FREE_BRANCHES}
 
 
 def _rule_at() -> bytes:
@@ -233,8 +220,8 @@ def decode_window(
     return insns
 
 
-def free_branch_kind(insn: Instruction) -> FreeBranchKind | None:
-    return FREE_BRANCH_OF.get(insn.mnemonic)
+def free_branch_kind(insn: Instruction) -> Mnemonic | None:
+    return insn.mnemonic if insn.mnemonic in FREE_BRANCHES else None
 
 
 # Operand fields by mnemonic: every rule of one mnemonic has fields of the same kinds.

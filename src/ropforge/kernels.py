@@ -34,10 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import disasm
-from .disasm import FreeBranchKind
+from .disasm import FREE_BRANCHES, Mnemonic
 
-# The free-branch kind of each rule, indexed like RULE_OF; None for the others.
-_KIND_OF = (None, *(disasm.FREE_BRANCH_OF.get(r.mnemonic) for r in disasm.RULES))
+# The free-branch mnemonic of each rule, indexed like RULE_OF; None for the others.
+_KIND_OF = (None, *(r.mnemonic if r.mnemonic in FREE_BRANCHES else None for r in disasm.RULES))
 
 # The code of the instruction each byte pair starts: 0 for no rule, the length
 # k of a normal rule, _FREE + k for a free branch of length k.  _CODE is
@@ -74,7 +74,7 @@ def instruction_codes(data: bytes) -> np.ndarray:
     return code
 
 
-def scan_free_branches(data: bytes) -> list[tuple[int, FreeBranchKind]]:
+def scan_free_branches(data: bytes) -> list[tuple[int, Mnemonic]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
     offsets = np.flatnonzero(instruction_codes(data) >= _FREE)
     rule = _RULE_AT[_words(data, ">u2")[offsets]]  # first << 8 | second

@@ -3,19 +3,21 @@
 Models just enough of a 32-bit process to replay the moment the vulnerable
 function returns with an overflowed frame: a register file, a byte-addressable
 stack region, the binary's executable sections for instruction fetch, and a
-table of function stubs.  Stubs don't emulate callee bodies; hitting one
-records a call event with the argument words observed on the stack and then
-behaves like a cdecl callee returning without cleaning its arguments.  A
-reserved unmapped sentinel address signals clean chain completion.
+map of function stubs from address to (name, arity).  Stubs don't emulate
+callee bodies; hitting one records a call event with its arity's argument
+words as observed on the stack and then behaves like a cdecl callee returning
+without cleaning its arguments.  A reserved unmapped sentinel address signals
+clean chain completion.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .chain import EXIT_SENTINEL, MAX_CALL_ARITY, Payload
+from .chain import EXIT_SENTINEL, Payload
 from .disasm import Mnemonic, decode_one
 from .image import BinaryImage
 
@@ -76,31 +78,6 @@ class CallTrace:
     termination: Termination
 
 
-@dataclass(frozen=True)
-class Stub:
-    name: str
-    arity: int
-
-
-class StubTable:
-    """Address -> (name, arity) map for intercepted functions."""
-
-    def __init__(self, stubs: dict[int, tuple[str, int]] | None = None):
-        self._stubs: dict[int, Stub] = {}
-        for addr, (name, arity) in (stubs or {}).items():
-            self.add(addr, name, arity)
-
-    def add(self, addr: int, name: str, arity: int) -> None:
-        if arity < 0 or arity > MAX_CALL_ARITY:
-            raise ValueError(f"stub arity {arity} outside 0..{MAX_CALL_ARITY}")
-        if addr in self._stubs and self._stubs[addr].arity != arity:
-            raise ValueError(f"conflicting arities for stub at {addr:#010x}")
-        self._stubs[addr] = Stub(name, arity)
-
-    def get(self, addr: int) -> Stub | None:
-        return self._stubs.get(addr)
-
-
 class _StackFault(Exception):
     def __init__(self, addr: int):
         self.addr = addr
@@ -150,7 +127,7 @@ class MachineState:
         self.write32(self.esp, value)
 
 
-def step(state: MachineState, stubs: StubTable) -> Termination | None:
+def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Termination | None:
     """Advance one step; returns a Termination when the run is over.
 
     Priority per step: stub interception, then the exit sentinel, then fetch
@@ -167,13 +144,14 @@ def step(state: MachineState, stubs: StubTable) -> Termination | None:
         )
 
 
-def _step_inner(state: MachineState, stubs: StubTable) -> Termination | None:
+def _step_inner(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Termination | None:
     stub = stubs.get(state.ip)
     if stub is not None:
         # cdecl callee: observe args above the return slot, then ret without
         # popping them (the caller, i.e. the chain, owns the cleanup).
-        args = tuple(state.read32(state.esp + 4 * (i + 1)) for i in range(stub.arity))
-        state.events.append(CallEvent(vaddr=state.ip, name=stub.name, args=args))
+        name, arity = stub
+        args = tuple(state.read32(state.esp + 4 * (i + 1)) for i in range(arity))
+        state.events.append(CallEvent(vaddr=state.ip, name=name, args=args))
         state.ip = state.pop()
         return None
 
@@ -257,9 +235,16 @@ def boot_state(image: BinaryImage, payload: Payload | bytes, ret_offset: int) ->
 
 
 def simulate(
-    image: BinaryImage, stubs: StubTable, payload: Payload | bytes, ret_offset: int
+    image: BinaryImage,
+    stubs: Mapping[int, tuple[str, int]],
+    payload: Payload | bytes,
+    ret_offset: int,
 ) -> CallTrace:
-    """Replay the overflowed return and run the chain to termination."""
+    """Replay the overflowed return and run the chain to termination.
+
+    ``stubs`` maps each intercepted function's address to its name and the
+    number of argument words a call to it records.
+    """
     state = boot_state(image, payload, ret_offset)
     # The vulnerable function's own ret: boot_state put its slot inside the payload.
     state.ip = state.pop()

@@ -35,16 +35,17 @@ from ropforge.cli import main
 from ropforge.elfbuild import SectionSpec, build_elf
 from ropforge.gadgets import enumerate_gadgets
 from ropforge.image import load_image
-from ropforge.sim import StubTable, TerminationKind, simulate
+from ropforge.sim import TerminationKind, simulate
 
 
 @pytest.fixture(scope="module")
 def stubs():
-    table = StubTable()
-    table.add(ADDR_SECRET_PARM, "SecretFunctionWithParm", 1)
-    table.add(ADDR_SECRET_NOPARM, "SecretFunctionWithoutParm", 0)
+    table = {
+        ADDR_SECRET_PARM: ("SecretFunctionWithParm", 1),
+        ADDR_SECRET_NOPARM: ("SecretFunctionWithoutParm", 0),
+    }
     for arity, addr in STUB_BY_ARITY.items():
-        table.add(addr, f"stub{arity}", arity)
+        table[addr] = (f"stub{arity}", arity)
     return table
 
 

@@ -51,8 +51,7 @@ def test_resolve_auto_offset_and_symbols(demo_image):
     assert resolved.spec.ret_offset == 32
     assert [c.target for c in resolved.spec.calls] == [ADDR_SECRET_NOPARM] * 3
     assert resolved.spec.final_target == EXIT_SENTINEL
-    assert resolved.stubs.get(ADDR_SECRET_NOPARM).name == "SecretFunctionWithoutParm"
-    assert resolved.stubs.get(ADDR_SECRET_NOPARM).arity == 0
+    assert resolved.stubs[ADDR_SECRET_NOPARM] == ("SecretFunctionWithoutParm", 0)
 
 
 def test_resolve_amp_symbol_argument(demo_image):

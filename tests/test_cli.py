@@ -344,6 +344,47 @@ def test_build_and_verify_arity_5_and_6_cleanup(tmp_path):
     assert main(["verify", str(binary), str(chain), "--payload", str(out_file)]) == 0
 
 
+def test_call_with_more_than_6_arguments_is_a_planning_failure(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: 32\ncall: SecretFunctionWithParm 1 2 3 4 5 6 7\n"
+    )
+    for argv in (["build", str(chain)], ["verify", str(demo_binary), str(chain)]):
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "error: call 0 passes 7 arguments (max 6)\n"
+
+
+def test_verify_payload_observes_a_call_with_more_than_6_arguments(
+    demo_binary, tmp_path, capsys
+):
+    # the planner caps arity, the simulator does not: a hand-built final call
+    # with 7 arguments needs no cleanup and verifies
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: 32\ncall: SecretFunctionWithParm 1 2 3 4 5 6 7\n"
+    )
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(
+        b"A" * 32 + struct.pack("<9I", ADDR_SECRET_PARM, 0xDEADC0DE, 1, 2, 3, 4, 5, 6, 7)
+    )
+    assert main(["verify", str(demo_binary), str(chain), "--payload", str(payload)]) == 0
+    args = ", ".join(f"{a:#010x}" for a in range(1, 8))
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"CALL 0x080484a4 SecretFunctionWithParm({args})"
+
+
+def test_build_and_verify_reject_conflicting_stub_arities(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: 32\n"
+        "call: SecretFunctionWithParm 1\ncall: SecretFunctionWithParm 1 2\n"
+    )
+    for argv in (["build", str(chain)], ["verify", str(demo_binary), str(chain)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: conflicting arities for stub at 0x080484a4\n"
+
+
 @pytest.mark.parametrize("bad_bytes", ["", "bad_bytes: none\n"], ids=["scanf", "none"])
 def test_section_past_4_gib_exits_2(tmp_path, capsys, bad_bytes):
     # pop ebp ; ret at 0x100000004, past the 32-bit address space
@@ -439,8 +480,9 @@ def test_build_reports_bad_cleanup_address_when_none_is_clean(tmp_path, capsys):
 
 
 def test_pattern_locate_rejects_values_wider_than_32_bits(capsys):
-    assert main(["pattern", "--locate", "0x6261616a"]) == 0
-    assert capsys.readouterr().out.strip() == "offset=136"
+    for token in ("0x6261616a", "0X6261616A"):
+        assert main(["pattern", "--locate", token]) == 0
+        assert capsys.readouterr().out.strip() == "offset=136"
     for token in ("0x16261616a", "0x100000000", str(1 << 32)):
         assert main(["pattern", "--locate", token]) == 2
         assert "32 bits" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from ropforge.disasm import (
     RULE_AT,
     RULE_OF,
     RULES,
-    FreeBranchKind,
     Mnemonic,
     decode_one,
     decode_window,
@@ -137,19 +136,19 @@ def test_decode_window_invalid_cases():
 
 
 def test_free_branch_kind_mapping():
-    assert free_branch_kind(decode_one(b"\xc3", 0)) is FreeBranchKind.RET
+    assert free_branch_kind(decode_one(b"\xc3", 0)) is Mnemonic.RET
     assert free_branch_kind(decode_one(b"\x5b", 0)) is None
-    assert free_branch_kind(decode_one(b"\xff\xe0", 0)) is FreeBranchKind.JMP_INDIRECT
-    assert free_branch_kind(decode_one(b"\xc2\x00\x00", 0)) is FreeBranchKind.RET_IMM16
-    assert free_branch_kind(decode_one(b"\xff\xd7", 0)) is FreeBranchKind.CALL_INDIRECT
+    assert free_branch_kind(decode_one(b"\xff\xe0", 0)) is Mnemonic.JMP_INDIRECT
+    assert free_branch_kind(decode_one(b"\xc2\x00\x00", 0)) is Mnemonic.RET_IMM16
+    assert free_branch_kind(decode_one(b"\xff\xd7", 0)) is Mnemonic.CALL_INDIRECT
 
 
 def test_free_branch_lengths_match_decoder():
     encodings = {
-        FreeBranchKind.RET: b"\xc3",
-        FreeBranchKind.RET_IMM16: b"\xc2\x00\x00",
-        FreeBranchKind.JMP_INDIRECT: b"\xff\xe0",
-        FreeBranchKind.CALL_INDIRECT: b"\xff\xd0",
+        Mnemonic.RET: b"\xc3",
+        Mnemonic.RET_IMM16: b"\xc2\x00\x00",
+        Mnemonic.JMP_INDIRECT: b"\xff\xe0",
+        Mnemonic.CALL_INDIRECT: b"\xff\xd0",
     }
     for kind, raw in encodings.items():
         assert FREE_BRANCH_LENGTH[kind] == decode_one(raw, 0).length == len(raw)

@@ -12,13 +12,13 @@ import oracle_bruteforce
 from conftest import ADDR_POP2, ADDR_POP2_DUP, ADDR_POP3, ADDR_UNALIGNED_RET, insn_text
 from ropforge import gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
-from ropforge.disasm import FREE_BRANCH_OF, RULES, FreeBranchKind, decode_window
+from ropforge.disasm import FREE_BRANCHES, RULES, Mnemonic, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
 from ropforge.errors import MissingCleanupGadgetError
 from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
 from ropforge.image import load_image
 from ropforge.kernels import scan_free_branches
-from ropforge.sim import StubTable, TerminationKind, simulate
+from ropforge.sim import TerminationKind, simulate
 
 
 def image_of(data: bytes, vaddr: int = 0x08048000):
@@ -26,23 +26,23 @@ def image_of(data: bytes, vaddr: int = 0x08048000):
 
 
 def test_find_terminators_direct():
-    assert scan_free_branches(b"\x90\xc3") == [(1, FreeBranchKind.RET)]
+    assert scan_free_branches(b"\x90\xc3") == [(1, Mnemonic.RET)]
     assert scan_free_branches(b"\x90" * 8) == []
 
 
 def test_find_terminators_unaligned():
     # ret hidden inside the imm32 of add eax, 0xc3
     hits = scan_free_branches(b"\x05\xc3\x00\x00\x00")
-    assert (1, FreeBranchKind.RET) in hits
+    assert (1, Mnemonic.RET) in hits
 
 
 def test_find_terminators_all_kinds():
     data = b"\xc3" + b"\xc2\x08\x00" + b"\xff\xe0" + b"\xff\xd3"
     assert scan_free_branches(data) == [
-        (0, FreeBranchKind.RET),
-        (1, FreeBranchKind.RET_IMM16),
-        (4, FreeBranchKind.JMP_INDIRECT),
-        (6, FreeBranchKind.CALL_INDIRECT),
+        (0, Mnemonic.RET),
+        (1, Mnemonic.RET_IMM16),
+        (4, Mnemonic.JMP_INDIRECT),
+        (6, Mnemonic.CALL_INDIRECT),
     ]
 
 
@@ -321,7 +321,7 @@ def test_listing_renders_every_rule():
     listing = enumerate_gadgets(image_of(b"".join(h + b"\xc3" for h in heads)))
     _assert_listing_matches_its_decode(listing)
     for r, h in zip(RULES, heads):
-        raw = h if r.mnemonic in FREE_BRANCH_OF else h + b"\xc3"
+        raw = h if r.mnemonic in FREE_BRANCHES else h + b"\xc3"
         assert decode_window(raw, 0, len(raw))[0].mnemonic is r.mnemonic
         assert raw in listing.id_bytes
 
@@ -426,10 +426,7 @@ def test_find_pop_ret_prefers_address_free_of_bad_bytes(img, data):
                 plan_chain(spec, img)
             continue
         payload = emit_payload(plan_chain(spec, img))
-        stubs = StubTable()
-        stubs.add(stub, "f", k)
-        stubs.add(0x0A000000, "g", 0)
-        trace = simulate(img, stubs, payload, 32)
+        trace = simulate(img, {stub: ("f", k), 0x0A000000: ("g", 0)}, payload, 32)
         assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
         assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
         dirty = [v for v in check_bad_bytes(payload, bad) if v[2] == "cleanup_gadget"]

@@ -330,6 +330,15 @@ def test_every_error_class_is_exported_by_the_package():
         assert cls.__name__ in ropforge.__all__
 
 
+def test_package_all_lists_exactly_its_public_names():
+    public = {
+        name
+        for name, value in vars(ropforge).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(ropforge.__all__) == sorted(public)  # a name listed twice fails too
+
+
 def test_truncated_section_content():
     raw = demo_elf_bytes()
     with pytest.raises(TruncatedError):

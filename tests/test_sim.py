@@ -24,7 +24,6 @@ from ropforge.sim import (
     MIN_STACK_SIZE,
     STACK_TOP,
     STEP_BUDGET,
-    StubTable,
     TerminationKind,
     boot_state,
     format_trace,
@@ -40,11 +39,12 @@ def build_payload(calls, image=None, ret_offset=32, final=EXIT_SENTINEL):
 
 
 def stub_table():
-    table = StubTable()
-    table.add(ADDR_SECRET_PARM, "SecretFunctionWithParm", 1)
-    table.add(ADDR_SECRET_NOPARM, "SecretFunctionWithoutParm", 0)
+    table = {
+        ADDR_SECRET_PARM: ("SecretFunctionWithParm", 1),
+        ADDR_SECRET_NOPARM: ("SecretFunctionWithoutParm", 0),
+    }
     for arity, addr in STUB_BY_ARITY.items():
-        table.add(addr, f"stub{arity}", arity)
+        table[addr] = (f"stub{arity}", arity)
     return table
 
 
@@ -135,7 +135,7 @@ def test_pop_ret_gadget_semantics(demo_image):
         base_esp = state.esp
         state.write32(base_esp + 4 * arity, 0x5A5A5A5A)
         for _ in range(arity + 1):
-            assert step(state, StubTable()) is None
+            assert step(state, {}) is None
         assert state.esp == base_esp + 4 * (arity + 1)
         assert state.ip == 0x5A5A5A5A
 
@@ -145,18 +145,18 @@ def test_stack_pivot_gadget(demo_image):
     state.ip = ADDR_PIVOT8
     base_esp = state.esp
     state.write32(base_esp + 8, EXIT_SENTINEL)
-    assert step(state, StubTable()) is None  # add esp, 8
+    assert step(state, {}) is None  # add esp, 8
     assert state.esp == base_esp + 8
-    assert step(state, StubTable()) is None  # ret
+    assert step(state, {}) is None  # ret
     assert state.ip == EXIT_SENTINEL
-    assert step(state, StubTable()).kind is TerminationKind.EXIT_SENTINEL
+    assert step(state, {}).kind is TerminationKind.EXIT_SENTINEL
 
 
 def test_sentinel_direct(demo_image):
     state = boot_state(demo_image, b"A" * 36, 32)
     state.write32(state.esp, EXIT_SENTINEL)
     state.ip = state.pop()
-    term = step(state, StubTable())
+    term = step(state, {})
     assert term is not None and term.kind is TerminationKind.EXIT_SENTINEL
 
 
@@ -168,7 +168,7 @@ def test_step_budget(demo_image):
     state.ip = jmp_addr
     term = None
     while term is None:
-        term = step(state, StubTable())
+        term = step(state, {})
     assert term.kind is TerminationKind.STEP_BUDGET
     assert state.steps == STEP_BUDGET
 
@@ -180,7 +180,7 @@ def test_software_interrupt_faults(demo_image):
 
     img = load_image(build_elf([SectionSpec(".text", 0x08048000, bytes(raw), "ax")]))
     payload = b"A" * 4 + (0x08048000).to_bytes(4, "little")
-    trace = simulate(img, StubTable(), payload, 4)
+    trace = simulate(img, {}, payload, 4)
     assert trace.termination.kind is TerminationKind.FAULT
     assert trace.termination.fault is FaultKind.SOFTWARE_INTERRUPT
 
@@ -189,7 +189,7 @@ def test_stack_out_of_bounds(demo_image):
     state = boot_state(demo_image, b"A" * 36, 32)
     state.esp = STACK_TOP - 2  # a pop would cross the top
     state.ip = 0x0804848F  # pop ebp ; ret
-    term = step(state, StubTable())
+    term = step(state, {})
     assert term is not None
     assert term.kind is TerminationKind.FAULT
     assert term.fault is FaultKind.STACK_OUT_OF_BOUNDS
@@ -201,7 +201,7 @@ def test_stack_bounds_follow_the_region(demo_image):
     assert state.stack_base < 0xBFFF0000
     state.esp = state.stack_base + 4
     state.ip = 0x0804848F  # pop ebp ; ret
-    assert step(state, StubTable()) is None
+    assert step(state, {}) is None
     assert state.esp == state.stack_base + 8
 
 
@@ -236,24 +236,14 @@ def test_trace_jsonl_shape(demo_image):
     assert lines[-1] == {"type": "termination", "kind": "exit_sentinel"}
 
 
-def test_stub_table_validation():
-    table = StubTable()
-    table.add(0x1000, "f", 2)
-    table.add(0x1000, "f", 2)  # same arity is fine
-    with pytest.raises(ValueError):
-        table.add(0x1000, "f", 1)
-    with pytest.raises(ValueError):
-        table.add(0x2000, "g", 99)
-
-
 def test_payload_too_short(demo_image):
     with pytest.raises(ValueError):
-        simulate(demo_image, StubTable(), b"A" * 8, 32)
+        simulate(demo_image, {}, b"A" * 8, 32)
 
 
 def test_negative_ret_offset_rejected(demo_image):
     with pytest.raises(ValueError):
-        simulate(demo_image, StubTable(), b"A" * 64, -100_000)
+        simulate(demo_image, {}, b"A" * 64, -100_000)
 
 
 @pytest.mark.parametrize(
