@@ -107,15 +107,17 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
     Words are emitted in stack order starting at the overwritten return
     address slot, each successive word at the next higher address.  Non-final
     calls with arguments get the cleanup gadget ``find_pop_ret`` finds in
-    ``image``, at an address free of ``spec.bad_bytes`` where one exists;
-    raises :class:`MissingCleanupGadgetError` when there is none (or no
-    image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
+    ``image``, at an address free of ``spec.bad_bytes`` where one exists,
+    passing over any run that holds a call target (the simulator takes it as
+    the call); raises :class:`MissingCleanupGadgetError` when there is none
+    (or no image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
     """
     words: list[LayoutWord] = []
     last = len(spec.calls) - 1
     # Every cleanup query of the plan reads one byte-class view per section.
     needs_cleanup = image is not None and any(c.arity for c in spec.calls[:last])
     views = gadgets.cleanup_views(image) if needs_cleanup else []
+    targets = frozenset(c.target for c in spec.calls)
     for i, call in enumerate(spec.calls):
         if call.arity > MAX_CALL_ARITY:
             raise UnsatisfiableArityError(
@@ -128,7 +130,7 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
         elif call.arity == 0:
             continue  # the next call's target doubles as the return address
         else:
-            gadget = gadgets.lowest_pop_ret(views, call.arity, spec.bad_bytes)
+            gadget = gadgets.lowest_pop_ret(views, call.arity, spec.bad_bytes, targets)
             if gadget is None:
                 raise MissingCleanupGadgetError(
                     f"call {i} passes {call.arity} argument(s) mid-chain but no "

@@ -91,7 +91,7 @@ def cmd_gadgets(args) -> int:
 
     image = _load(args.binary)
     listing = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
-    addr, gid = listing.addr, listing.gid  # ascending by address, ties by bytes
+    addr, gid = listing.addr, listing.gid  # ascending by address
     texts = listing.id_texts  # what each gadget's rows print after the address
     if args.gadget_class is not None or args.arity is not None or args.json:
         # Each gadget is classified and dumped once; rows of unwanted ones go.

@@ -132,25 +132,32 @@ def cleanup_views(image: BinaryImage) -> list[tuple[Section, bytes]]:
 
 
 def lowest_pop_ret(
-    views: list[tuple[Section, bytes]], arity: int, bad_bytes: frozenset[int]
+    views: list[tuple[Section, bytes]],
+    arity: int,
+    bad_bytes: frozenset[int],
+    call_targets: frozenset[int],
 ) -> Gadget | None:
-    """:func:`find_pop_ret` over views :func:`cleanup_views` made."""
+    """:func:`find_pop_ret` over views :func:`cleanup_views` made, passing over
+    any run with a byte at one of ``call_targets``: each byte of a run is an
+    instruction start, and the simulator takes a call target as the call."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     # find tries every start offset, so a run inside a longer one is found.
     run = b"p" * arity + b"r"
-    # Per section, its lowest match, then its lowest match at a clean address;
-    # (vaddr, bytes) order breaks ties between overlapping sections.
-    first, clean = [], []
+    # Per section, its matches up to the first at a clean address.
+    clean, dirty = [], []
     for s, view in views:
         at = view.find(run)
-        if at >= 0:
-            first.append((s.vaddr + at, s.data[at : at + len(run)]))
-        while at >= 0 and not bad_bytes.isdisjoint((s.vaddr + at).to_bytes(4, "little")):
+        while at >= 0:
+            vaddr = s.vaddr + at
+            if not any(0 <= t - vaddr < len(run) for t in call_targets):
+                hit = (vaddr, s.data[at : at + len(run)])
+                if bad_bytes.isdisjoint(vaddr.to_bytes(4, "little")):
+                    clean.append(hit)
+                    break
+                dirty.append(hit)
             at = view.find(run, at + 1)
-        if at >= 0:
-            clean.append((s.vaddr + at, s.data[at : at + len(run)]))
-    found = clean or first
+    found = clean or dirty
     if not found:
         return None
     vaddr, raw = min(found)
@@ -165,7 +172,7 @@ def find_pop_ret(
     section's byte-class view (no enumeration limit applies).  When every
     match's address holds a bad byte, the lowest match is returned anyway,
     for the caller to report."""
-    return lowest_pop_ret(cleanup_views(image), arity, bad_bytes)
+    return lowest_pop_ret(cleanup_views(image), arity, bad_bytes, frozenset())
 
 
 def _join_up(heads: list, head_of: list[int], parent_of: list[int], sep):
@@ -186,24 +193,18 @@ def _head_bytes(heads) -> list[bytes]:
     return [big[i : i + _FIRST_LENGTH[f]] for i, f in zip(at, first)]
 
 
-def _by_bytes(raws: list[bytes]) -> list[int]:
-    """Gadget ids in the order of their bytes."""
-    return sorted(range(len(raws)), key=raws.__getitem__)
-
-
 class GadgetListing(Sequence[Gadget]):
     """The unique gadgets of an image, ordered by bytes, and every address
     each occurs at.
 
     Each unique gadget has an id.  ``addr`` and ``gid`` are numpy arrays with
     one item per occurrence, its address and its gadget's id, ascending by
-    address and, at one address, by bytes.  ``id_texts[i]`` is gadget ``i``'s
-    text.  Gadget ``i`` is the head encoding ``heads[head_of[i]]`` followed
-    by gadget ``parent_of[i]`` (-1 for none), which has a lower id; ``heads``
-    is a numpy array of the distinct heads, packed by
-    :func:`ropforge.kernels.pack_encodings`, ascending.  ``id_bytes`` (the
-    bytes of each id, read out of the packed heads) and the :class:`Gadget`
-    items are built on first access.
+    address.  ``id_texts[i]`` is gadget ``i``'s text.  Gadget ``i`` is the
+    head encoding ``heads[head_of[i]]`` followed by gadget ``parent_of[i]``
+    (-1 for none), which has a lower id; ``heads`` is a numpy array of the
+    distinct heads, packed by :func:`ropforge.kernels.pack_encodings`,
+    ascending.  ``id_bytes`` (the bytes of each id, read out of the packed
+    heads) and the :class:`Gadget` items are built on first access.
     """
 
     def __init__(self, addr, gid, id_texts: list[str], heads, head_of, parent_of):
@@ -223,7 +224,8 @@ class GadgetListing(Sequence[Gadget]):
         addrs: list[list[int]] = [[] for _ in raws]
         for a, g in zip(self.addr.tolist(), self.gid.tolist()):
             addrs[g].append(a)
-        return tuple(Gadget(raws[i], tuple(addrs[i])) for i in _by_bytes(raws))
+        by_bytes = sorted(range(len(raws)), key=raws.__getitem__)
+        return tuple(Gadget(raws[i], tuple(addrs[i])) for i in by_bytes)
 
     def __len__(self) -> int:
         return len(self.id_texts)
@@ -246,9 +248,8 @@ def enumerate_gadgets(
     finds in each executable section: every start up to ``window_back``
     bytes before a free-branch terminator that greedily decodes onto it.
     Windows with equal bytes are one gadget, listed at each of their
-    addresses; an occurrence that overlapping sections share is listed once.
-    Entry order is by gadget bytes, so the result does not depend on
-    section order.
+    addresses.  Entry order is by gadget bytes, so the result does not
+    depend on section order.
     """
     if max_insns < 1:
         raise ValueError("max_insns must be >= 1")
@@ -299,18 +300,8 @@ def enumerate_gadgets(
     size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
     texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
 
-    # The occurrences by address.  Only overlapping sections put several at
-    # one address: an occurrence two of them share is listed once, and the
-    # others list by bytes, which ids follow within a level only.
+    # The occurrences by address: the loader gives each executable address
+    # one section, so at most one window starts there.
     addr, gid = np.concatenate(addrs), np.concatenate(gids)
     order = np.argsort(addr)
-    listing = GadgetListing(addr[order], gid[order], texts, heads, head_of, parent_of)
-    addr, gid = listing.addr, listing.gid
-    if (addr[1:] == addr[:-1]).any():
-        rank = np.argsort(_by_bytes(listing.id_bytes))
-        order = np.lexsort((rank[gid], addr))
-        addr, gid = addr[order], gid[order]
-        first = np.ones(len(addr), bool)
-        first[1:] = (addr[1:] != addr[:-1]) | (gid[1:] != gid[:-1])
-        listing.addr, listing.gid = addr[first], gid[first]
-    return listing
+    return GadgetListing(addr[order], gid[order], texts, heads, head_of, parent_of)

@@ -118,8 +118,9 @@ def load_image(raw: bytes) -> BinaryImage:
     """Parse a complete ELF file image into a queryable model.
 
     Raises :class:`NotElfError` (bad magic), :class:`UnsupportedError`
-    (anything but 32-bit little-endian x86), or :class:`TruncatedError`
-    (declared ranges extend past the end of the input).
+    (anything but 32-bit little-endian x86, or an executable section that
+    overlaps another), or :class:`TruncatedError` (declared ranges extend
+    past the end of the input).
     """
     if len(raw) < 4 or raw[:4] != ELFMAG:
         raise NotElfError("missing ELF magic")
@@ -188,6 +189,20 @@ def load_image(raw: bytes) -> BinaryImage:
                 executable=bool(sh_flags & SHF_EXECINSTR),
             )
         )
+
+    # Each executable address has one source: an executable section overlaps
+    # no other allocated one, while data sections may overlap (linkers place
+    # .tbss at the next data section's address).  By address, ties in header
+    # order, a section overlaps an earlier one iff it starts before their ends.
+    end = exec_end = 0
+    for s in sorted(sections, key=lambda s: s.vaddr):
+        if s.vaddr < (end if s.executable else exec_end):
+            raise UnsupportedError(
+                f"section {s.name!r} at {s.vaddr:#010x} overlaps another section, "
+                "and executable bytes must have one source"
+            )
+        end = max(end, s.vaddr + s.size)
+        exec_end = end if s.executable else exec_end  # it started past every earlier end
 
     symbols = _parse_symbols(raw, headers, sections)
     return BinaryImage(entry_point=entry, sections=tuple(sections), symbols=tuple(symbols))

@@ -10,6 +10,8 @@ byte runs from each other.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -148,6 +150,19 @@ def demo_elf_bytes() -> bytes:
     )
 
 
+def target_on_cleanup_elf() -> bytes:
+    """pop eax ; ret at 0x08048000 is also function f, whose call the simulator
+    intercepts there; a second pop eax ; ret sits at 0x08048010, and function
+    g at 0x08050000."""
+    return build_elf(
+        [
+            SectionSpec(".text", 0x08048000, b"\x58\xc3" + b"\xcc" * 14 + b"\x58\xc3", "ax"),
+            SectionSpec(".text2", 0x08050000, b"\xc3" * 4, "ax"),
+        ],
+        symbols=[SymbolSpec("f", 0x08048000, 2), SymbolSpec("g", 0x08050000, 4)],
+    )
+
+
 @pytest.fixture(scope="session")
 def demo_bytes() -> bytes:
     return demo_elf_bytes()
@@ -174,3 +189,18 @@ def stripped_binary(tmp_path_factory):
     path = tmp_path_factory.mktemp("bin") / "stripped32"
     path.write_bytes(raw)
     return path
+
+
+BENCH = Path(__file__).resolve().parent.parent / "ropbench"
+
+
+@pytest.fixture(scope="session")
+def bench_modules():
+    """The benchmark's input generator and its lookahead-regex reference."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+        import reference
+    finally:
+        sys.path.remove(str(BENCH))
+    return inputs, reference

@@ -18,8 +18,12 @@ from ropforge.chain import (
     plan_chain,
     unpack_words,
 )
+from conftest import target_on_cleanup_elf
+from ropforge.chainfile import parse_chain_file, resolve
 from ropforge.errors import MissingCleanupGadgetError, UnsatisfiableArityError
 from ropforge.gadgets import find_pop_ret
+from ropforge.image import load_image
+from ropforge.sim import boot_state, step
 
 
 def spec(calls, ret_offset=32, final=0x41414141, **kw):
@@ -211,3 +215,50 @@ def test_spec_validation():
         spec([CallStep(0x80484A4)], ret_offset=-1)
     with pytest.raises(ValueError):
         CallStep(0)
+
+
+# Stack words the cleanup runs on: never mapped, so ip reaching one ends the run.
+MARKERS = [0x7E000000 + 4 * i for i in range(8)]
+
+
+def _assert_cleanups_run(image, resolved):
+    """Every cleanup word the planner picks, run alone in the simulator with
+    the chain's stubs, pops its call's k arguments and returns to word k."""
+    chain = resolved.spec
+    try:
+        layout = plan_chain(chain, image)
+    except MissingCleanupGadgetError:
+        return 0
+    cleanups = [w.value for w in layout.words if w.role is Role.CLEANUP_GADGET]
+    arities = [c.arity for c in chain.calls[:-1] if c.arity]
+    assert len(cleanups) == len(arities)
+    stack = b"".join(m.to_bytes(4, "little") for m in MARKERS)
+    for word, k in zip(cleanups, arities):
+        state = boot_state(image, stack, 0)
+        esp, state.ip = state.esp, word
+        while state.ip not in MARKERS:
+            assert step(state, resolved.stubs) is None
+        assert state.events == []
+        assert state.ip == MARKERS[k]
+        assert state.esp - esp == 4 * (k + 1)
+    return len(cleanups)
+
+
+@pytest.mark.parametrize("workload", ["chain_small", "chain_large"])
+def test_planned_cleanups_run_as_cleanups_on_benchmark_chains(bench_modules, workload):
+    inputs, _ = bench_modules
+    checked = 0
+    for seed in (101, 102):
+        for index in range(20):
+            case = getattr(inputs, workload)(seed, index)
+            image = load_image(case.files[inputs.BINARY])
+            cf = parse_chain_file(case.files[inputs.CHAIN].decode())
+            checked += _assert_cleanups_run(image, resolve(cf, image))
+    assert checked
+
+
+def test_planned_cleanup_holding_no_call_target_runs():
+    # the lowest pop eax ; ret is f itself: as a cleanup it would be a second call of f
+    image = load_image(target_on_cleanup_elf())
+    cf = parse_chain_file("ret_offset: 8\ncall: f 7\ncall: g\n")
+    assert _assert_cleanups_run(image, resolve(cf, image)) == 1

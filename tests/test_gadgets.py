@@ -2,8 +2,6 @@
 and the cleanup-gadget byte search against the enumeration and bad bytes."""
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -245,27 +243,32 @@ def test_entries_match_their_decode_random(img, max_insns, window_back):
     )
 
 
-@st.composite
-def overlapping_images(draw, text=insn_text):
-    """Two or three sections of ``text`` up to 24 bytes apart, so that they
-    overlap, in any order."""
-    specs = [
-        SectionSpec(f".t{i}", 0x08048000 + draw(st.integers(0, 24)), draw(text), "ax")
-        for i in range(draw(st.integers(2, 3)))
-    ]
+def _placed(draw, datas):
+    """Executable sections of ``datas``, each 0-24 bytes (or a page) past the
+    previous one's end, in any header order."""
+    specs, vaddr = [], 0x08048000
+    for i, data in enumerate(datas):
+        specs.append(SectionSpec(f".t{i}", vaddr, data, "ax"))
+        vaddr += len(data) + draw(st.one_of(st.integers(0, 24), st.just(0x1000)))
     return load_image(build_elf(draw(st.permutations(specs))))
 
 
+@st.composite
+def disjoint_images(draw, text=insn_text):
+    """Two or three sections of ``text`` that share no address."""
+    return _placed(draw, [draw(text) for _ in range(draw(st.integers(2, 3)))])
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(pop_heavy_images(insn_text), overlapping_images()))
+@given(st.one_of(pop_heavy_images(insn_text), disjoint_images()))
 def test_listing_order_and_addresses(img):
     # entries ascend by bytes, each entry's addresses ascend, and the rows
-    # ascend by address then bytes, one per occurrence the sections hold
+    # ascend by address, one per occurrence the sections hold
     listing = enumerate_gadgets(img)
     rows = _rows(listing)
     assert all(a.data < b.data for a, b in zip(listing, listing[1:]))
     assert all(a < b for e in listing for a, b in zip(e.addrs, e.addrs[1:]))
-    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(a < b for (a, _), (b, _) in zip(rows, rows[1:]))
     oracle: dict[bytes, set[int]] = {}
     for s in img.executable_sections():
         for raw, addrs in oracle_bruteforce.brute_force_gadget_map(s.data, s.vaddr, 20, 5).items():
@@ -278,27 +281,24 @@ def test_listing_order_and_addresses(img):
 
 @st.composite
 def section_sets(draw):
-    """One to three sections of ``insn_text``, far apart or up to 24 bytes
-    apart, in any order.  A section may be the tail of an earlier one at the
-    same addresses, so the two share occurrences."""
-    specs = []
-    for i in range(draw(st.integers(1, 3))):
-        if specs and draw(st.booleans()):
-            whole = draw(st.sampled_from(specs))
-            cut = draw(st.integers(0, len(whole.data) - 1))
-            vaddr, data = whole.vaddr + cut, whole.data[cut:]
+    """One to three sections of ``insn_text`` that share no address.  A
+    section may hold the tail of an earlier one's bytes, so one byte string
+    occurs in several sections."""
+    datas = []
+    for _ in range(draw(st.integers(1, 3))):
+        if datas and draw(st.booleans()):
+            whole = draw(st.sampled_from(datas))
+            datas.append(whole[draw(st.integers(0, len(whole) - 1)) :])
         else:
-            vaddr = 0x08048000 + draw(st.one_of(st.integers(0, 24), st.just(0x1000 * i)))
-            data = draw(insn_text)
-        specs.append(SectionSpec(f".t{i}", vaddr, data, "ax"))
-    return load_image(build_elf(draw(st.permutations(specs))))
+            datas.append(draw(insn_text))
+    return _placed(draw, datas)
 
 
 @settings(max_examples=150, deadline=None)
 @given(section_sets())
 def test_gadget_ids_follow_bytes(img):
     # one id per distinct byte string, over all sections; each occurrence
-    # once, by address, then bytes
+    # once, by address
     listing = enumerate_gadgets(img)
     windows = {
         (s.vaddr + start, s.data[start:end])
@@ -308,7 +308,7 @@ def test_gadget_ids_follow_bytes(img):
     raws = listing.id_bytes
     assert len(set(raws)) == len(raws) == len(listing)
     assert len(listing) == len({raw for _, raw in windows})
-    assert _rows(listing) == sorted(windows)
+    assert _rows(listing) == sorted(windows, key=lambda w: w[0])
 
 
 def test_listing_renders_every_rule():
@@ -434,16 +434,23 @@ def test_find_pop_ret_prefers_address_free_of_bad_bytes(img, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(overlapping_images(_cleanup_rich_text), st.data())
-def test_find_pop_ret_over_overlapping_sections(img, data):
-    # two sections can hold different runs at one address: the lowest
-    # (vaddr, bytes) wins, whichever section comes first
+@given(disjoint_images(_cleanup_rich_text), st.data())
+def test_find_pop_ret_over_several_sections(img, data):
+    # the lowest address wins, whichever section comes first, and the chain
+    # planned with it runs to the sentinel
     hits_by_arity = {k: _pop_ret_windows(img, k) for k in range(1, 5)}
     lows = {a & 0xFF for hits in hits_by_arity.values() for a, _ in hits}
     bad = data.draw(st.frozensets(st.sampled_from(sorted(lows | {0x80}))))
     for k, hits in hits_by_arity.items():
         clean = [h for h in hits if bad.isdisjoint(h[0].to_bytes(4, "little"))]
         assert _found(find_pop_ret(img, k, bad)) == min(clean or hits, default=None)
+        if hits:
+            stub = 0x0A000000 + 0x10 * k
+            calls = (CallStep(stub, tuple(range(1, k + 1))), CallStep(0x0A000000))
+            payload = emit_payload(plan_chain(ChainSpec(calls, 32, bad_bytes=bad), img))
+            trace = simulate(img, {stub: ("f", k), 0x0A000000: ("g", 0)}, payload, 32)
+            assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
+            assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -485,21 +492,6 @@ def test_plan_translates_each_section_once(monkeypatch, n_sections):
     translated.clear()
     assert find_pop_ret(img, 2).vaddr == 0x08048001
     assert len(translated) == n_sections
-
-
-BENCH = Path(__file__).resolve().parent.parent / "ropbench"
-
-
-@pytest.fixture(scope="module")
-def bench_modules():
-    """The benchmark's input generator and its lookahead-regex reference."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import inputs
-        import reference
-    finally:
-        sys.path.remove(str(BENCH))
-    return inputs, reference
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])

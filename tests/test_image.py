@@ -18,7 +18,7 @@ from conftest import (
     demo_elf_bytes,
 )
 import ropforge
-from ropforge import errors
+from ropforge import errors, image
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.errors import (
     AmbiguousSymbolError,
@@ -157,6 +157,71 @@ def test_dynsym_sections_overlap_no_section():
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
     for sec in img.sections:
         assert read_virtual(img, sec.vaddr, sec.size) == sec.data
+
+
+def _specs(*sections):
+    """Sections ``.a``, ``.b`` of ``ret`` bytes from (vaddr, size, flags)."""
+    return [SectionSpec(f".{c}", v, b"\xc3" * n, f) for c, (v, n, f) in zip("ab", sections)]
+
+
+def _both_orders(*specs):
+    """The ELF of ``specs`` in their header order, then in the reverse one."""
+    return [build_elf(list(specs)), build_elf(list(specs[::-1]))]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0x08048000, 16, "ax"), (0x08048000, 8, "ax")),  # the same start
+        ((0x08048000, 16, "ax"), (0x08048008, 16, "ax")),  # partly
+        ((0x08048000, 32, "ax"), (0x08048008, 8, "ax")),  # one inside the other
+        ((0x08048000, 16, "ax"), (0x0804800F, 16, "wa")),  # into a data section
+        ((0x08048000, 16, "wa"), (0x08048004, 4, "ax")),  # inside a data section
+    ],
+    ids=["same-start", "partly", "inside", "into-data", "inside-data"],
+)
+def test_executable_section_overlapping_another_is_rejected(first, second):
+    a, b = _specs(first, second)
+    # the message names the section that starts later or, at one start, the
+    # one later in the header
+    for raw, named in zip(_both_orders(a, b), (b, b if b.vaddr > a.vaddr else a)):
+        with pytest.raises(UnsupportedError) as info:
+            load_image(raw)
+        assert str(info.value) == (
+            f"section {named.name!r} at {named.vaddr:#010x} overlaps another section, "
+            "and executable bytes must have one source"
+        )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0x08048000, 16, "ax"), (0x08048010, 16, "ax")),  # touching
+        ((0x08048000, 16, "ax"), (0x08048010, 16, "wa")),  # touching data
+        ((0x0804A000, 16, "wa"), (0x0804A008, 4, "wa")),  # two data sections
+    ],
+    ids=["touching", "touching-data", "data-over-data"],
+)
+def test_sections_sharing_no_executable_address_load(first, second):
+    a, b = _specs(first, second)
+    for raw in _both_orders(a, b):
+        img = load_image(raw)
+        assert sorted((s.name, s.vaddr, s.data) for s in img.sections) == [
+            (s.name, s.vaddr, s.data) for s in (a, b)
+        ]
+
+
+def test_symtab_at_address_0_beside_text_there_loads():
+    # .symtab is not allocated, so it shares no address with .text at 0
+    text = SectionSpec(".text", 0, b"\x90" * 15 + b"\xc3", "ax")
+    raw = build_elf([text], symbols=[SymbolSpec("start", 0, 16)])
+    ehdr = image.EHDR.unpack_from(raw)
+    shoff, shnum = ehdr[6], ehdr[12]
+    headers = [image.SHDR.unpack_from(raw, shoff + i * image.SHDR.size) for i in range(shnum)]
+    assert [h[3] for h in headers if h[1] == image.SHT_SYMTAB] == [0]
+    img = load_image(raw)
+    assert [s.name for s in img.sections] == [".text"]
+    assert lookup_symbol(img, "start").vaddr == 0
 
 
 def test_lookup_symbol_demo_addresses(demo_image):
