@@ -153,8 +153,12 @@ def check_bad_bytes(payload: Payload, bad: frozenset[int] | set[int]) -> list[tu
     """Report every payload byte in ``bad`` as (offset, byte, role)."""
     if not bad:
         return []
+    table = bytearray(256)  # 1 where bad, else 0
+    for b in bad:
+        if 0 <= b <= 0xFF:  # any other value matches no byte
+            table[b] = 1
     data = payload.data
-    view = data.translate(bytes(b in bad for b in range(256)))  # 1 where bad, else 0
+    view = data.translate(table)
     hits = []
     offset = view.find(1)
     while offset >= 0:

@@ -22,6 +22,7 @@ for the saved frame pointer).  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,13 +55,16 @@ class ChainFile:
     bad_bytes: frozenset[int] = SCANF_BAD_BYTES
     pad_byte: int = DEFAULT_PAD_BYTE
     out_format: str = "hex"
-    source_dir: Path = Path(".")
+    source_dir: str | Path = "."  # the directory a relative ``binary`` is read from
 
-    def binary_path(self) -> Path:
+    def binary_file(self) -> str:
+        """The binary's path: ``binary`` joined to ``source_dir`` unless absolute."""
         if self.binary is None:
             raise ChainFileError("chain file does not name a binary")
-        path = Path(self.binary)
-        return path if path.is_absolute() else self.source_dir / path
+        return os.path.join(self.source_dir, self.binary)
+
+    def binary_path(self) -> Path:
+        return Path(self.binary_file())
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def _parse_bad_bytes(value: str) -> frozenset[int]:
 
 
 def parse_chain_file(text: str, source_dir: Path | str = ".") -> ChainFile:
-    cf = ChainFile(source_dir=Path(source_dir))
+    cf = ChainFile(source_dir=source_dir)
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -135,8 +139,8 @@ def parse_chain_file(text: str, source_dir: Path | str = ".") -> ChainFile:
 
 
 def load_chain_file(path: Path | str) -> ChainFile:
-    path = Path(path)
-    return parse_chain_file(path.read_text(), source_dir=path.parent)
+    with open(path) as f:
+        return parse_chain_file(f.read(), source_dir=os.path.dirname(path) or ".")
 
 
 def _resolve_address(image: BinaryImage, token: str, what: str) -> int:

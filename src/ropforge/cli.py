@@ -10,6 +10,13 @@ Exit codes: 0 ok, 2 io/parse errors, 3 offset recovery failed, 4 payload
 contains bad bytes, 5 chain planning failed, 6 verification failed.
 Verification is simulator-only; this tool never executes target binaries.
 Set ROPFORGE_COLOR=0 to disable ANSI styling.
+
+``main`` parses argv once: when the first word names a subcommand, its
+subparser parses the rest directly, as argparse's subparsers action would
+after a first pass, and leftover words are the top-level parser's
+"unrecognized arguments" error.  Any other argv goes through the whole
+parser.  Files are read and written with plain ``open()``, so an error names
+a path as it was typed.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import chainfile as chainfile_mod
 from .chain import WORD_SIZE, Payload, check_bad_bytes, emit_payload, plan_chain
@@ -59,8 +65,13 @@ def _style(text: str, code: str, color: bool) -> str:
     return f"\x1b[{code}m{text}\x1b[0m" if color else text
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _load(path: str):
-    return load_image(Path(path).read_bytes())
+    return load_image(_read(path))
 
 
 def cmd_symbols(args) -> int:
@@ -179,13 +190,13 @@ def _annotation_table(payload: Payload) -> list[str]:
         offset = pad_len + i * WORD_SIZE
         content = data[offset : offset + WORD_SIZE].hex()
         rows.append((f"{offset:#06x}", content, w.role.value, f"{w.value & 0xFFFFFFFF:#010x}"))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    return ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip() for row in rows]
+    line = "%%-%ds  %%-%ds  %%-%ds  %%s" % tuple(max(len(r[i]) for r in rows) for i in range(3))
+    return [(line % row).rstrip() for row in rows]
 
 
 def cmd_build(args) -> int:
     cf = chainfile_mod.load_chain_file(args.chainfile)
-    image = load_image(cf.binary_path().read_bytes())
+    image = load_image(_read(cf.binary_file()))
     resolved = chainfile_mod.resolve(cf, image)
     payload = emit_payload(plan_chain(resolved.spec, image), pad_byte=cf.pad_byte)
 
@@ -195,7 +206,8 @@ def cmd_build(args) -> int:
     violations = check_bad_bytes(payload, resolved.spec.bad_bytes)
     refused = bool(violations) and not args.force
     if args.out and not refused:
-        Path(args.out).write_bytes(rendered)
+        with open(args.out, "wb") as f:
+            f.write(rendered)
         print(annotations)
         print(f"wrote {len(payload.data)}-byte payload ({fmt}) to {args.out}")
     else:
@@ -222,7 +234,7 @@ def cmd_verify(args) -> int:
     cf = chainfile_mod.load_chain_file(args.chainfile)
     resolved = chainfile_mod.resolve(cf, image)
     if args.payload:
-        payload, fmt = _read_payload(Path(args.payload).read_bytes())
+        payload, fmt = _read_payload(_read(args.payload))
         if fmt != "raw":
             print(f"verify: payload read as {fmt}", file=sys.stderr)
     else:
@@ -280,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for 32-bit ELF binaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, filled by add_parser below
 
     p = sub.add_parser("symbols", help="list the symbol table")
     p.add_argument("binary")
@@ -327,8 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # What the subparsers action runs for a command, minus the first pass.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
     try:

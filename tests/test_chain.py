@@ -145,6 +145,20 @@ def test_check_bad_bytes_matches_per_byte_reference(pad_len, words, pad_byte, da
     assert check_bad_bytes(payload, bad) == _bad_bytes_reference(payload, bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [frozenset(), SCANF_BAD_BYTES, frozenset(range(256)), frozenset({-1, 256, 0x41})],
+    ids=["empty", "scanf", "every-byte", "out-of-range"],
+)
+def test_check_bad_bytes_table_matches_per_byte_scan(bad):
+    # every byte value once in the words, after a run of pad bytes
+    words = [int.from_bytes(bytes(range(i, i + 4)), "little") for i in range(0, 256, 4)]
+    layout = StackLayout(3, tuple(LayoutWord(w, Role.ARG) for w in words))
+    payload = emit_payload(layout, pad_byte=0x20)
+    assert check_bad_bytes(payload, bad) == _bad_bytes_reference(payload, bad)
+    assert len(check_bad_bytes(payload, bad)) == len(bad & set(payload.data)) + 3 * (0x20 in bad)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 40), _layout_words, st.integers(0, 255))
 def test_role_at_reads_each_byte_from_the_layout(pad_len, words, pad_byte):

@@ -1,5 +1,6 @@
 """CLI end-to-end tests driving main() in-process, plus one console-script check."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,8 +24,17 @@ from conftest import (
     insn_text,
     target_on_cleanup_elf,
 )
-from ropforge.chain import CallStep, ChainSpec, plan_chain
-from ropforge.cli import _RENDER, _read_payload, main
+from ropforge import cli
+from ropforge.chain import (
+    CallStep,
+    ChainSpec,
+    LayoutWord,
+    Role,
+    StackLayout,
+    emit_payload,
+    plan_chain,
+)
+from ropforge.cli import _RENDER, _annotation_table, _read_payload, main
 from ropforge.disasm import decode_window, format_instruction
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.gadgets import find_pop_ret
@@ -311,6 +321,103 @@ def test_console_script_installed(demo_binary):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_missing_files_are_named_as_typed(demo_binary, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_chain(tmp_path, FIG8_CHAIN, demo_binary)
+    (tmp_path / "nobinary.rop").write_text("binary: missing.elf\nret_offset: 32\ncall: f\n")
+    cases = [
+        (["build", "./missing.rop"], "./missing.rop"),
+        (["build", "nobinary.rop"], "./missing.elf"),  # relative to the chain file's directory
+        (["verify", "./missing.elf", "chain.rop"], "./missing.elf"),
+        (["verify", str(demo_binary), "./missing.rop"], "./missing.rop"),
+        (["verify", str(demo_binary), "chain.rop", "--payload", "./missing.bin"], "./missing.bin"),
+    ]
+    for argv, path in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+COMMANDS = ("symbols", "offset", "gadgets", "build", "verify", "pattern")
+
+# argv that main hands straight to a subparser, and argv it parses in full.
+DISPATCH_CORPUS = [
+    [], ["-h"], ["bogus"], ["-h", "build"], ["--", "build", "c"],
+    *([name, "-h"] for name in COMMANDS),
+    ["symbols"], ["offset", "b"], ["gadgets"], ["build"], ["verify", "b"], ["pattern"],
+    ["symbols", "b", "x"], ["offset", "b", "f", "x"], ["gadgets", "b", "x"],
+    ["build", "c", "extra"], ["verify", "b", "c", "x"], ["pattern", "5", "6"],
+    ["build", "c", "--format", "xml"], ["build", "c", "--format=raw", "--force"],
+    ["build", "c", "--fo", "hex"], ["build", "c", "--out"], ["build", "c", "--out=o"],
+    ["build", "--", "c"], ["build", "c", "--", "--out"], ["build", "c", "-h"],
+    ["build", "c", "--bogus", "x"], ["build", "c", "--out", "o", "--format", "escaped"],
+    ["gadgets", "b", "--max-insns", "x"], ["gadgets", "b", "--class=pop_ret"],
+    ["gadgets", "b", "--class", "bogus"], ["gadgets", "b", "--max", "3"],
+    ["gadgets", "b", "--max-insns=3", "--window-back", "4", "--arity", "2", "--json"],
+    ["gadgets", "b", "--h"], ["verify", "b", "c", "--payload"],
+    ["verify", "b", "c", "--payload", "p", "--json"], ["verify", "--json", "b", "c"],
+    ["pattern", "-5"], ["pattern", "--locate", "0x41"], ["pattern", "--locate"],
+    ["symbols", "--", "-b"], ["offset", "-x", "b", "f"],
+]
+
+
+def _recording_parser(seen: list):
+    """A fresh parser whose subcommands record (name, namespace) instead of running."""
+    real = {name: getattr(cli, f"cmd_{name}") for name in COMMANDS}
+    for name in COMMANDS:
+        setattr(cli, f"cmd_{name}", lambda args, name=name: seen.append((name, args)))
+    try:
+        return cli.build_parser.__wrapped__()
+    finally:
+        for name, cmd in real.items():
+            setattr(cli, f"cmd_{name}", cmd)
+
+
+def _outcome(call):
+    """(what ``call()`` returns, or its SystemExit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            value = call()
+        except SystemExit as exc:
+            value = exc.code
+    return value, out.getvalue(), err.getvalue()
+
+
+def _fields(name: str, args) -> tuple:
+    fields = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    return name, fields
+
+
+def _dispatch_outcomes(argv: list[str]) -> tuple[tuple, tuple]:
+    """What ``build_parser().parse_args(argv)`` and ``main(argv)`` make of
+    argv, each as (the command and its fields, or the exit code; stdout;
+    stderr)."""
+    value, out, err = _outcome(lambda: _recording_parser([]).parse_args(argv))
+    if isinstance(value, argparse.Namespace):
+        value = _fields(value.command, value)
+    expected = value, out, err
+
+    seen: list = []
+    parser = _recording_parser(seen)
+    real, cli.build_parser = cli.build_parser, lambda: parser
+    try:
+        value, out, err = _outcome(lambda: main(argv))
+    finally:
+        cli.build_parser = real
+    if seen:
+        ((name, args),) = seen
+        value = _fields(name, args)
+    return expected, (value, out, err)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_parses_as_parse_args_does(argv):
+    expected, got = _dispatch_outcomes(argv)
+    assert got == expected
 
 
 def test_build_and_verify_skip_pop_esp_cleanup(tmp_path):
@@ -738,6 +845,40 @@ def test_verify_reads_payloads_build_wrote(demo_binary, tmp_path, capsys, fmt):
     else:
         assert f"verify: payload read as {fmt or 'hex'}\n" in err
     assert "OK: trace matches" in err
+
+
+def _annotation_table_by_cell(payload):
+    """The annotation table as each cell ``ljust``ed to its column's width."""
+    data, pad_len = payload.data, payload.layout.pad_len
+    rows = [("0x0000", f"{data[0]:02x} x{pad_len}", "padding", "")] if pad_len else []
+    for i, w in enumerate(payload.layout.words):
+        offset = pad_len + i * 4
+        content = data[offset : offset + 4].hex()
+        rows.append((f"{offset:#06x}", content, w.role.value, f"{w.value & 0xFFFFFFFF:#010x}"))
+    widths = [max(len(r[i]) for r in rows) for i in range(4)]
+    return ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip() for row in rows]
+
+
+def _table_or_error(table, payload):
+    try:
+        return table(payload)
+    except ValueError as exc:  # no rows: no column has a width
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([0, 1]) | st.integers(0, 1 << 24),
+    st.lists(
+        st.builds(LayoutWord, st.integers(-(1 << 31), 0xFFFFFFFF), st.sampled_from(Role)),
+        max_size=20,
+    ),
+    st.integers(0, 255),
+)
+def test_annotation_table_matches_per_cell_rendering(pad_len, words, pad_byte):
+    payload = emit_payload(StackLayout(pad_len, tuple(words)), pad_byte)
+    got = _table_or_error(_annotation_table, payload)
+    assert got == _table_or_error(_annotation_table_by_cell, payload)
 
 
 @settings(max_examples=200, deadline=None)
