@@ -80,10 +80,12 @@ class StackLayout:
     words: tuple[LayoutWord, ...]
 
     def values(self) -> list[int]:
+        """The words' values in payload order, decoded for library callers."""
         return [w.value for w in self.words]
 
     @property
     def total_length(self) -> int:
+        """The payload's length in bytes, measured for library callers."""
         return self.pad_len + WORD_SIZE * len(self.words)
 
 
@@ -168,7 +170,7 @@ def check_bad_bytes(payload: Payload, bad: frozenset[int] | set[int]) -> list[tu
 
 
 def unpack_words(payload: Payload, ret_offset: int) -> list[int]:
-    """Deserialize the word region back into integers (little-endian)."""
+    """Decode a payload's words (little-endian) to integers, for library callers."""
     region = payload.data[ret_offset:]
     if len(region) % WORD_SIZE:
         raise ValueError("word region is not word-aligned")

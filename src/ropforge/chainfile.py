@@ -63,9 +63,6 @@ class ChainFile:
             raise ChainFileError("chain file does not name a binary")
         return os.path.join(self.source_dir, self.binary)
 
-    def binary_path(self) -> Path:
-        return Path(self.binary_file())
-
 
 @dataclass(frozen=True)
 class ResolvedChain:

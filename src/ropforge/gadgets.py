@@ -244,9 +244,11 @@ def enumerate_gadgets(
 ) -> GadgetListing:
     """Collect every gadget of at most ``max_insns`` instructions.
 
-    The windows are those :func:`ropforge.kernels.scan_gadget_windows`
-    finds in each executable section: every start up to ``window_back``
-    bytes before a free-branch terminator that greedily decodes onto it.
+    The windows are those :func:`ropforge.kernels.window_trie` finds in
+    each executable section: every start up to ``window_back`` bytes before
+    a free-branch terminator that greedily decodes onto it.  (The listing
+    reads only the trie; ``scan_gadget_windows`` stays only because
+    ``ropbench/tracing.py`` patches it and the kernel tests call it.)
     Windows with equal bytes are one gadget, listed at each of their
     addresses.  Entry order is by gadget bytes, so the result does not
     depend on section order.

@@ -74,6 +74,7 @@ class Symbol:
 class BinaryImage:
     entry_point: int
     sections: tuple[Section, ...]
+    # No two entries share a name and an address; lookup_symbol relies on it.
     symbols: tuple[Symbol, ...]
 
     @functools.cached_property
@@ -209,46 +210,38 @@ def load_image(raw: bytes) -> BinaryImage:
 
 
 def _parse_symbols(raw, headers, sections) -> list[Symbol]:
-    def normalized_kind(kind: str, vaddr: int) -> str:
-        if kind == "function":
-            sec = next((s for s in sections if s.contains(vaddr) and s.executable), None)
-            if sec is None:
-                return "other"
-        return kind
+    """The named ``.symtab`` entries, then the ``.dynsym`` ones, in order read.
 
-    def parse_table(h) -> list[Symbol]:
-        _, _sh_type, _, _, sh_offset, sh_size, sh_link, *_ = h
+    ``.symtab`` wins by name: it suppresses every ``.dynsym`` entry of a name
+    it holds (it carries the local functions used as chain targets).  Exact
+    ``(name, vaddr)`` duplicates merge, the first kept; one name at two
+    addresses stays, for :func:`lookup_symbol` to raise
+    :class:`AmbiguousSymbolError`.  A function symbol outside every
+    executable section reads as ``"other"``.
+    """
+    exec_ranges = [range(s.vaddr, s.vaddr + s.size) for s in sections if s.executable]
+    tables: dict[int, dict[tuple[str, int], Symbol]] = {SHT_SYMTAB: {}, SHT_DYNSYM: {}}
+    # .symtab headers first (SHT_SYMTAB < SHT_DYNSYM), so they are read first
+    for h in sorted((h for h in headers if h[1] in tables), key=lambda h: h[1]):
+        _, sh_type, _, _, sh_offset, sh_size, sh_link, *_ = h
         blob = _need(raw, sh_offset, sh_size, "symbol table")
         strtab = b""
-        if sh_link < len(headers):
-            lh = headers[sh_link]
-            if lh[1] != SHT_NOBITS:
-                strtab = _need(raw, lh[4], lh[5], "symbol string table")
-        out = []
-        for i in range(1, len(blob) // SYM.size):
-            st_name, st_value, st_size, st_info, _other, _shndx = SYM.unpack_from(
-                blob, i * SYM.size
-            )
+        if sh_link < len(headers) and headers[sh_link][1] != SHT_NOBITS:
+            _, _, _, _, str_offset, str_size, *_ = headers[sh_link]
+            strtab = _need(raw, str_offset, str_size, "symbol string table")
+        merged = tables[sh_type]
+        entries = blob[SYM.size : len(blob) // SYM.size * SYM.size]  # whole entries after 0
+        for st_name, st_value, st_size, st_info, _, _ in SYM.iter_unpack(entries):
             name = _strz(strtab, st_name)
-            if not name:
-                continue
-            kind = normalized_kind(KIND_BY_STT.get(st_info & 0xF, "other"), st_value)
-            out.append(Symbol(name=name, vaddr=st_value, size=st_size, kind=kind))
-        return out
+            if name and (name, st_value) not in merged:
+                kind = KIND_BY_STT.get(st_info & 0xF, "other")
+                if kind == "function" and not any(st_value in r for r in exec_ranges):
+                    kind = "other"
+                merged[name, st_value] = Symbol(name, st_value, st_size, kind)
 
-    static = [s for h in headers if h[1] == SHT_SYMTAB for s in parse_table(h)]
-    dynamic = [s for h in headers if h[1] == SHT_DYNSYM for s in parse_table(h)]
-
-    # Collapse: exact (name, address) duplicates merge; a name present in
-    # .symtab suppresses any .dynsym entry of the same name (the static table
-    # carries the local functions used as chain targets).  Same-name entries
-    # at different addresses within one table survive and surface later as
-    # AmbiguousSymbolError on lookup.
-    out: dict[tuple[str, int], Symbol] = {}
-    static_names = {s.name for s in static}
-    for sym in static + [d for d in dynamic if d.name not in static_names]:
-        out.setdefault((sym.name, sym.vaddr), sym)
-    return list(out.values())
+    static, dynamic = tables.values()
+    static_names = {name for name, _ in static}
+    return [*static.values(), *(s for (name, _), s in dynamic.items() if name not in static_names)]
 
 
 def lookup_symbol(image: BinaryImage, name: str) -> Symbol:
@@ -256,7 +249,7 @@ def lookup_symbol(image: BinaryImage, name: str) -> Symbol:
     matches = image._by_name.get(name, [])
     if not matches:
         raise SymbolNotFoundError(f"no symbol named {name!r}")
-    if len({m.vaddr for m in matches}) > 1:
+    if len(matches) > 1:
         addrs = ", ".join(f"{m.vaddr:#010x}" for m in matches)
         raise AmbiguousSymbolError(f"symbol {name!r} maps to multiple addresses: {addrs}")
     return matches[0]

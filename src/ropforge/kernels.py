@@ -19,10 +19,12 @@ in a trie rooted at the terminators, and one numpy step per level, for at most
 ``max_insns - 1`` levels, reaches every valid start exactly once: no candidate
 is tried twice and no window needs de-duplicating.  :func:`window_trie` keeps
 the levels, with each window's first-instruction length and its parent's
-index, for the gadget listing; :func:`scan_gadget_windows` flattens them into
-sorted ``(start, end)`` pairs.  :func:`pack_encodings` reads encodings at
-given starts, by one gather, as integers that order as their bytes do; the
-listing keeps its distinct heads in that form and builds their bytes only on demand.
+index; the gadget listing reads only it.  :func:`scan_gadget_windows`
+flattens them into sorted ``(start, end)`` pairs; it stays only because
+``ropbench/tracing.py`` patches it and the kernel tests call it.
+:func:`pack_encodings` reads encodings at given starts, by one gather, as
+integers that order as their bytes do; the listing keeps its distinct heads
+in that form and builds their bytes only on demand.
 :func:`render_heads` renders packed encodings in one batch per rule, reading
 each rule's operand fields and its mnemonic's text template from
 :mod:`ropforge.disasm`, and :func:`render_rows` writes the listing's rows

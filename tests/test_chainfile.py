@@ -1,5 +1,7 @@
 """Chain file parsing and resolution tests."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import ADDR_SECRET_NOPARM, ADDR_SECRET_PARM, ADDR_STR
@@ -125,4 +127,4 @@ def test_binary_path_relative_to_chain_file(tmp_path):
     chain = tmp_path / "demo.rop"
     chain.write_text("binary: sub/vuln\ncall: f\n")
     cf = load_chain_file(chain)
-    assert cf.binary_path() == tmp_path / "sub" / "vuln"
+    assert Path(cf.binary_file()) == tmp_path / "sub" / "vuln"

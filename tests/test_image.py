@@ -265,6 +265,63 @@ def test_exact_duplicates_collapse():
     assert len([s for s in img.symbols if s.name == "f"]) == 1
 
 
+_TEXT = SectionSpec(".text", 0x08048000, b"\xc3" * 0x20, "ax")
+_DATA = SectionSpec(".data", 0x0804A000, b"d" * 0x20, "wa")
+_SYMBOL = st.builds(
+    SymbolSpec,
+    st.sampled_from(["", "f", "g", "obj"]),  # "" is a nameless entry
+    st.sampled_from(
+        [0x08048000, 0x0804801F]  # in .text
+        + [0x0804A000, 0x0804A01F]  # in .data
+        + [0, 0x08048020, 0x09000000]  # unmapped
+    ),
+    st.integers(0, 4),
+    st.sampled_from(["function", "object", "other"]),
+)
+
+
+@st.composite
+def _symbol_table(draw):
+    specs = draw(st.lists(_SYMBOL, max_size=6))
+    # repeat some entries later in the table, so exact duplicates are common
+    return specs + draw(st.lists(st.sampled_from(specs), max_size=3)) if specs else specs
+
+
+def _expected_symbols(static, dynamic):
+    """``image.symbols`` by the documented rules, in order."""
+
+    def read(specs):
+        out = []
+        for s in specs:
+            if s.name and (s.name, s.vaddr) not in [(o.name, o.vaddr) for o in out]:
+                in_text = _TEXT.vaddr <= s.vaddr < _TEXT.vaddr + len(_TEXT.data)
+                kind = "other" if s.kind == "function" and not in_text else s.kind
+                out.append(image.Symbol(s.name, s.vaddr, s.size, kind))
+        return out
+
+    symtab = read(static)
+    return symtab + [s for s in read(dynamic) if s.name not in {t.name for t in symtab}]
+
+
+@given(_symbol_table(), _symbol_table())
+def test_symbol_rules_hold_for_drawn_tables(static, dynamic):
+    img = load_image(build_elf([_TEXT, _DATA], symbols=static, dyn_symbols=dynamic))
+    expected = _expected_symbols(static, dynamic)
+    assert list(img.symbols) == expected
+    for name in {s.name for s in static + dynamic}:
+        matches = [s for s in expected if s.name == name]
+        if not matches:
+            with pytest.raises(SymbolNotFoundError, match=re.escape(f"no symbol named {name!r}")):
+                lookup_symbol(img, name)
+        elif len({s.vaddr for s in matches}) > 1:
+            addrs = ", ".join(f"{s.vaddr:#010x}" for s in matches)
+            with pytest.raises(AmbiguousSymbolError) as info:
+                lookup_symbol(img, name)
+            assert str(info.value) == f"symbol {name!r} maps to multiple addresses: {addrs}"
+        else:
+            assert lookup_symbol(img, name) == matches[0]
+
+
 def test_read_virtual():
     raw = build_elf([SectionSpec(".text", 0x08048000, b"\x55\x89\xc3", "ax")])
     img = load_image(raw)
