@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gadgets
 from .errors import MissingCleanupGadgetError, UnsatisfiableArityError
@@ -39,43 +39,48 @@ class Role(enum.Enum):
     FINAL_TARGET = "final_target"
 
 
-@dataclass(frozen=True)
-class CallStep:
+class _CallStep(NamedTuple):
     target: int
     args: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not self.target:
+
+class CallStep(_CallStep):  # a subclass, for the __new__ that validates and masks
+    __slots__ = ()
+
+    def __new__(cls, target, args=()):
+        if not target:
             raise ValueError("call target must be nonzero")
-        object.__setattr__(self, "args", tuple(a & 0xFFFFFFFF for a in self.args))
+        return super().__new__(cls, target, tuple(a & 0xFFFFFFFF for a in args))
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class _ChainSpec(NamedTuple):
     calls: tuple[CallStep, ...]
     ret_offset: int
     final_target: int = EXIT_SENTINEL
     bad_bytes: frozenset[int] = frozenset()
 
-    def __post_init__(self):
-        if not self.calls:
+
+class ChainSpec(_ChainSpec):  # a subclass, for the __new__ that validates
+    __slots__ = ()
+
+    def __new__(cls, calls, ret_offset, final_target=EXIT_SENTINEL, bad_bytes=frozenset()):
+        if not calls:
             raise ValueError("a chain needs at least one call")
-        if self.ret_offset < 0:
+        if ret_offset < 0:
             raise ValueError("ret_offset must be >= 0")
+        return super().__new__(cls, calls, ret_offset, final_target, bad_bytes)
 
 
-@dataclass(frozen=True)
-class LayoutWord:
+class LayoutWord(NamedTuple):
     value: int
     role: Role
 
 
-@dataclass(frozen=True)
-class StackLayout:
+class StackLayout(NamedTuple):
     pad_len: int
     words: tuple[LayoutWord, ...]
 
@@ -89,8 +94,7 @@ class StackLayout:
         return self.pad_len + WORD_SIZE * len(self.words)
 
 
-@dataclass(frozen=True)
-class Payload:
+class Payload(NamedTuple):
     data: bytes
     layout: StackLayout  # the layout ``data`` serializes
 

@@ -23,8 +23,8 @@ for the saved frame pointer).  Unknown keys are rejected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .chain import (
     CallStep,
@@ -44,18 +44,29 @@ MAX_RET_OFFSET = 1 << 24
 _SINGLE_KEYS = ("binary", "ret_offset", "final", "bad_bytes", "pad_byte", "format")
 
 
-@dataclass
 class ChainFile:
     """Parsed but unresolved chain description."""
 
-    binary: str | None = None
-    ret_offset: str = "auto"
-    calls: list[tuple[str, list[str]]] = field(default_factory=list)
-    final: str = "sentinel"
-    bad_bytes: frozenset[int] = SCANF_BAD_BYTES
-    pad_byte: int = DEFAULT_PAD_BYTE
-    out_format: str = "hex"
-    source_dir: str | Path = "."  # the directory a relative ``binary`` is read from
+    def __init__(
+        self,
+        binary=None,
+        ret_offset="auto",
+        calls=None,
+        final="sentinel",
+        bad_bytes=SCANF_BAD_BYTES,
+        pad_byte=DEFAULT_PAD_BYTE,
+        out_format="hex",
+        source_dir=".",
+    ):
+        self.binary: str | None = binary
+        self.ret_offset: str = ret_offset
+        self.calls: list[tuple[str, list[str]]] = [] if calls is None else calls
+        self.final: str = final
+        self.bad_bytes: frozenset[int] = bad_bytes
+        self.pad_byte: int = pad_byte
+        self.out_format: str = out_format
+        # the directory a relative ``binary`` is read from
+        self.source_dir: str | Path = source_dir
 
     def binary_file(self) -> str:
         """The binary's path: ``binary`` joined to ``source_dir`` unless absolute."""
@@ -64,8 +75,7 @@ class ChainFile:
         return os.path.join(self.source_dir, self.binary)
 
 
-@dataclass(frozen=True)
-class ResolvedChain:
+class ResolvedChain(NamedTuple):
     spec: ChainSpec
     stubs: dict[int, tuple[str, int]]  # call target -> (name, arity), for the simulator
 

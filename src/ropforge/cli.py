@@ -186,10 +186,10 @@ def _read_payload(blob: bytes) -> tuple[bytes, str]:
 def _annotation_table(payload: Payload) -> list[str]:
     data, pad_len = payload.data, payload.layout.pad_len
     rows = [("0x0000", f"{data[0]:02x} x{pad_len}", "padding", "")] if pad_len else []
-    for i, w in enumerate(payload.layout.words):
+    for i, (value, role) in enumerate(payload.layout.words):
         offset = pad_len + i * WORD_SIZE
         content = data[offset : offset + WORD_SIZE].hex()
-        rows.append((f"{offset:#06x}", content, w.role.value, f"{w.value & 0xFFFFFFFF:#010x}"))
+        rows.append((f"{offset:#06x}", content, role.value, f"{value & 0xFFFFFFFF:#010x}"))
     line = "%%-%ds  %%-%ds  %%-%ds  %%s" % tuple(max(len(r[i]) for r in rows) for i in range(3))
     return [(line % row).rstrip() for row in rows]
 

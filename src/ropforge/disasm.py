@@ -18,7 +18,6 @@ an operand or a text.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 REG_NAMES = ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
@@ -55,8 +54,7 @@ FREE_BRANCHES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     vaddr: int
     length: int
     mnemonic: Mnemonic
@@ -83,8 +81,7 @@ class Imm(NamedTuple):
     signed: bool = False
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One encoding of the subset: byte ranges (inclusive), length, mnemonic
     and operand fields, in operand order.
 

@@ -9,7 +9,7 @@ own loader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import image
 
@@ -17,25 +17,23 @@ STB_GLOBAL = 1
 _STT_BY_KIND = {kind: stt for stt, kind in image.KIND_BY_STT.items()} | {"other": 0}  # STT_NOTYPE
 
 
-@dataclass
-class SectionSpec:
+class SectionSpec(NamedTuple):
     name: str
     vaddr: int
     data: bytes
     flags: str = "a"  # letters: a=alloc w=write x=exec
 
 
-@dataclass
-class SymbolSpec:
+class SymbolSpec(NamedTuple):
     name: str
     vaddr: int
     size: int = 0
     kind: str = "function"  # function | object | other
 
 
-@dataclass
 class _Strtab:
-    blob: bytearray = field(default_factory=lambda: bytearray(b"\x00"))
+    def __init__(self):
+        self.blob = bytearray(b"\x00")
 
     def add(self, name: str) -> int:
         if not name:
@@ -45,8 +43,7 @@ class _Strtab:
         return off
 
 
-@dataclass
-class _Record:
+class _Record(NamedTuple):
     name: str
     sh_type: int
     flags: int
@@ -119,9 +116,8 @@ def build_elf(
     # The name table's own content depends only on the section names, so it
     # can be finalized before layout like any other data blob.
     shstrtab = _Strtab()
-    records.append(_Record(".shstrtab", image.SHT_STRTAB, 0, 0, b""))
-    name_offsets = [shstrtab.add(r.name) for r in records]
-    records[-1].data = bytes(shstrtab.blob)
+    name_offsets = [shstrtab.add(r.name) for r in records] + [shstrtab.add(".shstrtab")]
+    records.append(_Record(".shstrtab", image.SHT_STRTAB, 0, 0, bytes(shstrtab.blob)))
     shstrndx = len(records)  # index in the header table, after the null entry
 
     body = bytearray(image.EHDR.size)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .disasm import (
     MAX_INSN_LEN,
@@ -67,13 +67,14 @@ _PIVOT_LENGTH = {
 }
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """One unique byte sequence and every address it occurs at, ascending.
-    Its instructions are decoded at its lowest address on first access."""
-
+class _Gadget(NamedTuple):
     data: bytes
     addrs: tuple[int, ...]
+
+
+class Gadget(_Gadget):  # a subclass, for the __dict__ that caches insns
+    """One unique byte sequence and every address it occurs at, ascending.
+    Its instructions are decoded at its lowest address on first access."""
 
     @property
     def vaddr(self) -> int:
@@ -89,8 +90,7 @@ class Gadget:
         return " ; ".join(format_instruction(i) for i in self.insns)
 
 
-@dataclass(frozen=True)
-class GadgetClass:
+class GadgetClass(NamedTuple):
     kind: str  # pop_ret | ret_only | stack_pivot | other
     arity: int = 0
     regs: tuple[int, ...] = ()

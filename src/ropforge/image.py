@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousSymbolError,
@@ -47,8 +47,7 @@ SHF_EXECINSTR = 4
 KIND_BY_STT = {2: "function", 1: "object"}
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     name: str
     vaddr: int
     data: bytes
@@ -62,21 +61,21 @@ class Section:
         return self.vaddr <= vaddr and vaddr + length <= self.vaddr + self.size
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     vaddr: int
     size: int
     kind: str  # function | object | other
 
 
-@dataclass(frozen=True)
-class BinaryImage:
+class _BinaryImage(NamedTuple):
     entry_point: int
     sections: tuple[Section, ...]
     # No two entries share a name and an address; lookup_symbol relies on it.
     symbols: tuple[Symbol, ...]
 
+
+class BinaryImage(_BinaryImage):  # a subclass, for the __dict__ that caches _by_name
     @functools.cached_property
     def _by_name(self) -> dict[str, list[Symbol]]:
         index: dict[str, list[Symbol]] = {}
@@ -182,14 +181,7 @@ def load_image(raw: bytes) -> BinaryImage:
             data = bytes(sh_size)
         else:
             data = _need(raw, sh_offset, sh_size, "section content")
-        sections.append(
-            Section(
-                name=name,
-                vaddr=sh_addr,
-                data=data,
-                executable=bool(sh_flags & SHF_EXECINSTR),
-            )
-        )
+        sections.append(Section(name, sh_addr, data, bool(sh_flags & SHF_EXECINSTR)))
 
     # Each executable address has one source: an executable section overlaps
     # no other allocated one, while data sections may overlap (linkers place

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chain import EXIT_SENTINEL, Payload
 from .disasm import Mnemonic, decode_one
@@ -43,8 +43,7 @@ class FaultKind(enum.Enum):
     SOFTWARE_INTERRUPT = "software_interrupt"
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(NamedTuple):
     kind: TerminationKind
     fault: FaultKind | None = None
     vaddr: int | None = None
@@ -61,8 +60,7 @@ class Termination:
         return f"FAULT ({detail}{at})"
 
 
-@dataclass(frozen=True)
-class CallEvent:
+class CallEvent(NamedTuple):
     vaddr: int
     name: str
     args: tuple[int, ...]
@@ -72,8 +70,7 @@ class CallEvent:
         return f"CALL {self.vaddr:#010x} {self.name}({args})"
 
 
-@dataclass(frozen=True)
-class CallTrace:
+class CallTrace(NamedTuple):
     events: tuple[CallEvent, ...]
     termination: Termination
 
@@ -83,17 +80,17 @@ class _StackFault(Exception):
         self.addr = addr
 
 
-@dataclass
 class MachineState:
     """Mutable per-run machine: registers, ip, stack bytes, event log."""
 
-    image: BinaryImage
-    stack_base: int
-    stack: bytearray
-    regs: list[int] = field(default_factory=lambda: [0] * 8)
-    ip: int = 0
-    steps: int = 0
-    events: list[CallEvent] = field(default_factory=list)
+    def __init__(self, image, stack_base, stack, regs=None, ip=0, steps=0, events=None):
+        self.image: BinaryImage = image
+        self.stack_base: int = stack_base
+        self.stack: bytearray = stack
+        self.regs: list[int] = [0] * 8 if regs is None else regs
+        self.ip: int = ip
+        self.steps: int = steps
+        self.events: list[CallEvent] = [] if events is None else events
 
     @property
     def esp(self) -> int:
@@ -161,8 +158,7 @@ def _step_inner(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Te
     section = state.image.section_at(state.ip)
     if section is None or not section.executable:
         return Termination(TerminationKind.FAULT, FaultKind.UNMAPPED_FETCH, vaddr=state.ip)
-    insn = decode_one(section.data, state.ip - section.vaddr, state.ip)
-    m = insn.mnemonic
+    _, length, m, operands = decode_one(section.data, state.ip - section.vaddr, state.ip)
 
     if m is Mnemonic.UNKNOWN:
         return Termination(TerminationKind.UNSUPPORTED_INSTRUCTION, vaddr=state.ip)
@@ -175,34 +171,34 @@ def _step_inner(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Te
         state.ip = state.pop()
     elif m is Mnemonic.RET_IMM16:
         state.ip = state.pop()
-        state.esp = state.esp + insn.operands[0]
+        state.esp = state.esp + operands[0]
     elif m is Mnemonic.JMP_INDIRECT:
-        state.ip = state.regs[insn.operands[0]]
+        state.ip = state.regs[operands[0]]
     elif m is Mnemonic.CALL_INDIRECT:
-        state.push((state.ip + insn.length) & _MASK)
-        state.ip = state.regs[insn.operands[0]]
+        state.push((state.ip + length) & _MASK)
+        state.ip = state.regs[operands[0]]
     else:
         if m is Mnemonic.POP_REG:
-            state.regs[insn.operands[0]] = state.pop()
+            state.regs[operands[0]] = state.pop()
         elif m is Mnemonic.PUSH_REG:
-            state.push(state.regs[insn.operands[0]])
+            state.push(state.regs[operands[0]])
         elif m is Mnemonic.PUSH_IMM32:
-            state.push(insn.operands[0])
+            state.push(operands[0])
         elif m is Mnemonic.MOV_REG_IMM32:
-            state.regs[insn.operands[0]] = insn.operands[1] & _MASK
+            state.regs[operands[0]] = operands[1] & _MASK
         elif m is Mnemonic.MOV_REG_REG:
-            state.regs[insn.operands[0]] = state.regs[insn.operands[1]]
+            state.regs[operands[0]] = state.regs[operands[1]]
         elif m is Mnemonic.XOR_REG_REG:
-            dst, src = insn.operands
+            dst, src = operands
             state.regs[dst] = state.regs[dst] ^ state.regs[src]
         elif m in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
-            state.esp = state.esp + insn.operands[0]
+            state.esp = state.esp + operands[0]
         elif m is Mnemonic.LEAVE:
             state.esp = state.regs[_EBP]
             state.regs[_EBP] = state.pop()
         elif m is Mnemonic.NOP:
             pass
-        state.ip = (state.ip + insn.length) & _MASK
+        state.ip = (state.ip + length) & _MASK
 
     if not state.stack_base <= state.esp <= state.stack_base + len(state.stack):
         return Termination(

@@ -966,3 +966,16 @@ def test_only_gadgets_imports_numpy(demo_binary, tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", ["ropforge.cli", "ropforge.elfbuild"])
+def test_import_loads_neither_dataclasses_nor_numpy(module):
+    # -S: no site-packages, so no .pth file imports either module first
+    src = str(Path(cli.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import {module}\n"
+        "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

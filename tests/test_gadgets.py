@@ -509,3 +509,17 @@ def test_find_pop_ret_agrees_with_benchmark_reference(bench_modules, index):
             if g is not None:
                 off = g.vaddr - case.text_vaddr
                 assert g.data == case.text[off : off + k + 1]
+
+
+def test_gadget_decodes_its_insns_once(demo_image, monkeypatch):
+    decoded = []
+
+    def counting(*args, **kwargs):
+        decoded.append(args)
+        return decode_window(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "decode_window", counting)
+    g = find_pop_ret(demo_image, 2)
+    first = g.insns
+    assert g.insns is first and len(decoded) == 1
+    assert [i.mnemonic for i in first] == [Mnemonic.POP_REG, Mnemonic.POP_REG, Mnemonic.RET]

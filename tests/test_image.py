@@ -1,5 +1,6 @@
 """Loader tests: parsing, symbol queries, frame displacement, rejection totality."""
 
+import enum
 import inspect
 import re
 import shutil
@@ -459,6 +460,59 @@ def test_package_all_lists_exactly_its_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(ropforge.__all__) == sorted(public)  # a name listed twice fails too
+
+
+def _record_examples(image) -> dict:
+    """One instance of each record class the package exports, by class."""
+    spec = ropforge.ChainSpec((ropforge.CallStep(ADDR_SECRET_NOPARM),), ret_offset=32)
+    layout = ropforge.plan_chain(spec, image)
+    payload = ropforge.emit_payload(layout)
+    trace = ropforge.simulate(image, {ADDR_SECRET_NOPARM: ("f", 0)}, payload, 32)
+    gadget = ropforge.find_pop_ret(image, 2)
+    return {
+        ropforge.BinaryImage: image,
+        ropforge.Section: image.sections[0],
+        ropforge.Symbol: image.symbols[0],
+        ropforge.Gadget: gadget,
+        ropforge.GadgetClass: ropforge.classify(gadget),
+        ropforge.Instruction: gadget.insns[0],
+        ropforge.CallStep: ropforge.CallStep(ADDR_SECRET_PARM, (ADDR_STR, -1)),
+        ropforge.ChainSpec: spec,
+        ropforge.StackLayout: layout,
+        ropforge.Payload: payload,
+        ropforge.CallTrace: trace,
+        ropforge.CallEvent: trace.events[0],
+        ropforge.Termination: trace.termination,
+    }
+
+
+def test_exported_records_are_immutable_and_rebuild_equal():
+    examples = _record_examples(load_image(demo_elf_bytes()))
+    exported = {getattr(ropforge, name) for name in ropforge.__all__}
+    records = {
+        c for c in exported if inspect.isclass(c) and not issubclass(c, (BaseException, enum.Enum))
+    }
+    assert records == set(examples)  # a new record class needs an example here
+    for cls, record in examples.items():
+        assert type(record) is cls
+        fields = {name: getattr(record, name) for name in inspect.signature(cls).parameters}
+        for rebuilt in (cls(**fields), cls(*fields.values())):
+            assert rebuilt == record and hash(rebuilt) == hash(record)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+    assert ropforge.CallStep(1, (-1,)).args == (0xFFFFFFFF,)
+    assert ropforge.CallStep(target=1, args=(-1, 1 << 32)).args == (0xFFFFFFFF, 0)
+
+
+def test_lookups_build_the_name_index_once(monkeypatch):
+    by_name = inspect.getattr_static(BinaryImage, "_by_name")  # the cached index
+    built, build = [], by_name.func
+    monkeypatch.setattr(by_name, "func", lambda img: built.append(img) or build(img))
+    img = load_image(demo_elf_bytes())
+    for _ in range(3):
+        assert lookup_symbol(img, "echo").vaddr == ADDR_ECHO
+    assert len(built) == 1 and built[0] is img
 
 
 def test_truncated_section_content():
