@@ -151,7 +151,7 @@ def emit_payload(layout: StackLayout, pad_byte: int = DEFAULT_PAD_BYTE) -> Paylo
     """Serialize a layout: pad bytes, then each word little-endian."""
     if not 0 <= pad_byte <= 0xFF:
         raise ValueError("pad_byte must be a byte value")
-    words = b"".join((w.value & 0xFFFFFFFF).to_bytes(WORD_SIZE, "little") for w in layout.words)
+    words = struct.pack(f"<{len(layout.words)}I", *[w.value & 0xFFFFFFFF for w in layout.words])
     return Payload(bytes([pad_byte]) * layout.pad_len + words, layout)
 
 

@@ -146,8 +146,8 @@ def parse_chain_file(text: str, source_dir: Path | str = ".") -> ChainFile:
 
 
 def load_chain_file(path: Path | str) -> ChainFile:
-    with open(path) as f:
-        return parse_chain_file(f.read(), source_dir=os.path.dirname(path) or ".")
+    with open(path, "rb", buffering=0) as f:  # read as UTF-8 whatever the locale
+        return parse_chain_file(f.read().decode(), source_dir=os.path.dirname(path) or ".")
 
 
 def _resolve_address(image: BinaryImage, token: str, what: str) -> int:
@@ -180,14 +180,15 @@ def _resolve_ret_offset(cf: ChainFile, image: BinaryImage) -> int:
 
 def resolve(cf: ChainFile, image: BinaryImage) -> ResolvedChain:
     """Bind a parsed chain file to a loaded binary."""
+    # A stub is named after the first symbol at its address, in image order.
+    name_at = {sym.vaddr: sym.name for sym in reversed(image.symbols)}
     calls = []
     stubs: dict[int, tuple[str, int]] = {}
     for target_token, arg_tokens in cf.calls:
         target = _resolve_address(image, target_token, "call target")
-        args = tuple(_resolve_address(image, t, "call argument") for t in arg_tokens)
-        calls.append(CallStep(target=target, args=args))
-        sym = image.symbol_at(target)
-        name = sym.name if sym is not None else f"sub_{target:08x}"
+        args = tuple([_resolve_address(image, t, "call argument") for t in arg_tokens])
+        calls.append(CallStep(target, args))
+        name = name_at.get(target) or f"sub_{target:08x}"
         if stubs.setdefault(target, (name, len(args)))[1] != len(args):
             raise ChainFileError(f"conflicting arities for stub at {target:#010x}")
 

@@ -66,7 +66,7 @@ def _style(text: str, code: str, color: bool) -> str:
 
 
 def _read(path: str) -> bytes:
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         return f.read()
 
 
@@ -186,10 +186,11 @@ def _read_payload(blob: bytes) -> tuple[bytes, str]:
 def _annotation_table(payload: Payload) -> list[str]:
     data, pad_len = payload.data, payload.layout.pad_len
     rows = [("0x0000", f"{data[0]:02x} x{pad_len}", "padding", "")] if pad_len else []
-    for i, (value, role) in enumerate(payload.layout.words):
-        offset = pad_len + i * WORD_SIZE
+    offset = pad_len
+    for value, role in payload.layout.words:
         content = data[offset : offset + WORD_SIZE].hex()
         rows.append((f"{offset:#06x}", content, role.value, f"{value & 0xFFFFFFFF:#010x}"))
+        offset += WORD_SIZE
     line = "%%-%ds  %%-%ds  %%-%ds  %%s" % tuple(max(len(r[i]) for r in rows) for i in range(3))
     return [(line % row).rstrip() for row in rows]
 

@@ -92,12 +92,6 @@ class BinaryImage(_BinaryImage):  # a subclass, for the __dict__ that caches _by
                 return s
         return None
 
-    def symbol_at(self, vaddr: int) -> Symbol | None:
-        for sym in self.symbols:
-            if sym.vaddr == vaddr:
-                return sym
-        return None
-
 
 def _need(raw: bytes, offset: int, size: int, what: str) -> bytes:
     if offset < 0 or size < 0 or offset + size > len(raw):
@@ -105,13 +99,10 @@ def _need(raw: bytes, offset: int, size: int, what: str) -> bytes:
     return raw[offset : offset + size]
 
 
-def _strz(table: bytes, offset: int) -> str:
-    if offset >= len(table):
-        return ""
-    end = table.find(b"\x00", offset)
-    if end < 0:
-        end = len(table)
-    return table[offset:end].decode("latin-1")
+def _strz(table: str, offset: int) -> str:
+    """The name at ``offset`` of a decoded string table, up to a NUL or its end."""
+    end = table.find("\0", offset)
+    return table[offset:end] if end >= 0 else table[offset:]
 
 
 def load_image(raw: bytes) -> BinaryImage:
@@ -158,11 +149,11 @@ def load_image(raw: bytes) -> BinaryImage:
         for i in range(shnum):
             headers.append(SHDR.unpack_from(table, i * shentsize))
 
-    shstr = b""
+    shstr = ""
     if headers and shstrndx < len(headers):
         h = headers[shstrndx]
         if h[1] != SHT_NOBITS:
-            shstr = _need(raw, h[4], h[5], "section name table")
+            shstr = _need(raw, h[4], h[5], "section name table").decode("latin-1")
 
     sections: list[Section] = []
     for h in headers:
@@ -211,25 +202,31 @@ def _parse_symbols(raw, headers, sections) -> list[Symbol]:
     :class:`AmbiguousSymbolError`.  A function symbol outside every
     executable section reads as ``"other"``.
     """
-    exec_ranges = [range(s.vaddr, s.vaddr + s.size) for s in sections if s.executable]
+    exec_spans = [(s.vaddr, s.vaddr + s.size) for s in sections if s.executable]
     tables: dict[int, dict[tuple[str, int], Symbol]] = {SHT_SYMTAB: {}, SHT_DYNSYM: {}}
     # .symtab headers first (SHT_SYMTAB < SHT_DYNSYM), so they are read first
     for h in sorted((h for h in headers if h[1] in tables), key=lambda h: h[1]):
         _, sh_type, _, _, sh_offset, sh_size, sh_link, *_ = h
         blob = _need(raw, sh_offset, sh_size, "symbol table")
-        strtab = b""
+        strtab = ""  # decoded once: one character per byte, so offsets hold
         if sh_link < len(headers) and headers[sh_link][1] != SHT_NOBITS:
             _, _, _, _, str_offset, str_size, *_ = headers[sh_link]
-            strtab = _need(raw, str_offset, str_size, "symbol string table")
+            strtab = _need(raw, str_offset, str_size, "symbol string table").decode("latin-1")
         merged = tables[sh_type]
         entries = blob[SYM.size : len(blob) // SYM.size * SYM.size]  # whole entries after 0
         for st_name, st_value, st_size, st_info, _, _ in SYM.iter_unpack(entries):
-            name = _strz(strtab, st_name)
-            if name and (name, st_value) not in merged:
-                kind = KIND_BY_STT.get(st_info & 0xF, "other")
-                if kind == "function" and not any(st_value in r for r in exec_ranges):
+            end = strtab.find("\0", st_name)  # _strz, inlined: no call per entry
+            name = strtab[st_name:end] if end >= 0 else strtab[st_name:]
+            if not name or (name, st_value) in merged:
+                continue
+            kind = KIND_BY_STT.get(st_info & 0xF, "other")
+            if kind == "function":
+                for lo, hi in exec_spans:
+                    if lo <= st_value < hi:
+                        break
+                else:
                     kind = "other"
-                merged[name, st_value] = Symbol(name, st_value, st_size, kind)
+            merged[name, st_value] = Symbol(name, st_value, st_size, kind)
 
     static, dynamic = tables.values()
     static_names = {name for name, _ in static}
@@ -273,20 +270,18 @@ def stack_frame_displacement(image: BinaryImage, function: Symbol) -> int:
     body = read_virtual(image, function.vaddr, function.size)
 
     best: int | None = None
-    for i in range(len(body) - 2):
-        if body[i] != 0x8D:
-            continue
+    last = len(body) - 2  # an opcode from here on has no displacement byte
+    i = body.find(0x8D, 0, last)
+    while i >= 0:
         modrm = body[i + 1]
         mod, rm = modrm >> 6, modrm & 7
-        # frame base register (ebp) addressing only, with a disp8 or a disp32
-        if rm != 5 or mod not in (1, 2):
-            continue
         end = i + (3 if mod == 1 else 6)
-        if end > len(body):
-            continue
-        disp = int.from_bytes(body[i + 2 : end], "little", signed=True)
-        if disp < 0 and (best is None or disp < best):
-            best = disp
+        # frame base register (ebp) addressing only, with a disp8 or a disp32
+        if rm == 5 and mod in (1, 2) and end <= len(body):
+            disp = int.from_bytes(body[i + 2 : end], "little", signed=True)
+            if disp < 0 and (best is None or disp < best):
+                best = disp
+        i = body.find(0x8D, i + 1, last)
     if best is None:
         raise NoCandidateError(
             f"no frame-base-relative lea found in {function.name!r}; "

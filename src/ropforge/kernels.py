@@ -215,15 +215,14 @@ _GATHER_BYTES = 1 << 14
 def render_rows(addr, gid, head: str, after: str, texts: list[str]):
     """``f"{head}{a:08x}{after}{texts[g]}\\n"`` for each row ``(a, g)``,
     yielded in blocks, each one numpy gather.  Addresses are below 4 GiB,
-    and every string is ASCII."""
+    every string is ASCII, and neither ``after`` nor a text holds a newline."""
     # The gather's source: each gadget's suffix (``after``, its text, a
-    # newline) once, in id order, gadget i's at suffix[i]; then each row's
-    # fixed part (``head`` and the address's 8 hex digits), row r's at
-    # fixed_at[r].
-    sep = f"\n{after}"
-    suffixes = np.frombuffer(sep.join(["", *texts, ""]).encode("ascii"), np.uint8)
-    size = np.fromiter(map(len, texts), np.intp, len(texts)) + len(sep)
-    suffix = np.cumsum(size) - size + 1
+    # newline) once, in id order, gadget i's just past the buffer's i-th
+    # newline; then each row's fixed part (``head`` and the address's 8 hex
+    # digits), row r's at fixed_at[r].
+    suffixes = np.frombuffer(f"\n{after}".join(["", *texts, ""]).encode("ascii"), np.uint8)
+    newline = np.flatnonzero(suffixes == ord("\n"))
+    suffix, size = newline[:-1] + 1, np.diff(newline)
     fixed = len(head) + 8
     fixed_parts = np.empty((len(addr), fixed), np.uint8)
     fixed_parts[:, : len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
@@ -236,11 +235,10 @@ def render_rows(addr, gid, head: str, after: str, texts: list[str]):
     width = fixed + size[gid]
     cuts = np.flatnonzero(np.diff(np.cumsum(width) // _GATHER_BYTES)) + 1
     for f, g, w in zip(*(np.split(x, cuts) for x in (fixed_at, gid, width))):
-        start = np.cumsum(w) - w
-        # Each output byte's index in src, as a running sum of steps: +1
-        # within a piece, and a jump where each row's two pieces start.
-        step = np.ones(int(w.sum()), np.intp)
-        step[start[:1]] = f[:1]
-        step[start[1:]] = f[1:] - (suffix[g[:-1]] + size[g[:-1]] - 1)
-        step[start + fixed] = suffix[g] - (f + fixed - 1)
-        yield str(src.take(np.cumsum(step, out=step)), "ascii")
+        # Two pieces per row, its fixed part and its suffix: each output
+        # byte's index in src is its piece's shift plus its own index.
+        row = np.cumsum(w) - w
+        shift = np.stack([f - row, suffix[g] - (row + fixed)], 1).ravel()
+        index = np.repeat(shift, np.stack([np.full_like(w, fixed), w - fixed], 1).ravel())
+        index += np.arange(len(index))
+        yield str(src.take(index), "ascii")

@@ -124,6 +124,16 @@ class MachineState:
         self.write32(self.esp, value)
 
 
+# The mnemonics that pop a word (a stub's return is a ret), and those that end
+# a run.  Those step reads on every pass are module globals: on Python 3.11,
+# reading a member through its Enum class takes a slow lookup.
+_RET, _RET_IMM16, _POP_REG, _LEAVE = (
+    Mnemonic.RET, Mnemonic.RET_IMM16, Mnemonic.POP_REG, Mnemonic.LEAVE
+)
+_POPS = frozenset({_RET, _RET_IMM16, _POP_REG, _LEAVE})
+_HALTS = frozenset({Mnemonic.UNKNOWN, Mnemonic.INT_IMM8})
+
+
 def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Termination | None:
     """Advance one step; returns a Termination when the run is over.
 
@@ -133,77 +143,70 @@ def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Terminati
     if state.steps >= STEP_BUDGET:
         return Termination(TerminationKind.STEP_BUDGET)
     state.steps += 1
+    ip, regs = state.ip, state.regs
     try:
-        return _step_inner(state, stubs)
+        stub = stubs.get(ip)
+        if stub is not None:
+            # cdecl callee: observe args above the return slot, then ret without
+            # popping them (the caller, i.e. the chain, owns the cleanup).
+            name, arity = stub
+            args = tuple([state.read32(regs[_ESP] + 4 * i) for i in range(1, arity + 1)])
+            state.events.append(CallEvent(ip, name, args))
+            m = _RET
+        elif ip == EXIT_SENTINEL:
+            return Termination(TerminationKind.EXIT_SENTINEL)
+        else:
+            section = state.image.section_at(ip)
+            if section is None or not section.executable:
+                return Termination(TerminationKind.FAULT, FaultKind.UNMAPPED_FETCH, vaddr=ip)
+            _, length, m, operands = decode_one(section.data, ip - section.vaddr, ip)
+            if m in _HALTS:
+                if m is Mnemonic.UNKNOWN:
+                    return Termination(TerminationKind.UNSUPPORTED_INSTRUCTION, vaddr=ip)
+                return Termination(TerminationKind.FAULT, FaultKind.SOFTWARE_INTERRUPT, vaddr=ip)
+
+        if m in _POPS:  # MachineState.pop, inline; leave first moves esp to ebp
+            if m is _LEAVE:
+                regs[_ESP] = regs[_EBP]
+            esp = regs[_ESP]
+            off = esp - state.stack_base
+            if off < 0 or off + 4 > len(state.stack):
+                raise _StackFault(esp)
+            word = int.from_bytes(state.stack[off : off + 4], "little")
+            regs[_ESP] = (esp + 4) & _MASK
+            if m is _RET:
+                ip = word
+            elif m is _RET_IMM16:
+                ip = word
+                regs[_ESP] = (regs[_ESP] + operands[0]) & _MASK
+            else:  # pop reg, or leave's pop into ebp
+                regs[operands[0] if m is _POP_REG else _EBP] = word
+                ip = (ip + length) & _MASK
+        elif m is Mnemonic.JMP_INDIRECT:
+            ip = regs[operands[0]]
+        elif m is Mnemonic.CALL_INDIRECT:
+            state.push((ip + length) & _MASK)
+            ip = regs[operands[0]]
+        else:  # the rest go on to the next instruction; nop does only that
+            if m is Mnemonic.PUSH_REG:
+                state.push(regs[operands[0]])
+            elif m is Mnemonic.PUSH_IMM32:
+                state.push(operands[0])
+            elif m is Mnemonic.MOV_REG_IMM32:
+                regs[operands[0]] = operands[1] & _MASK
+            elif m is Mnemonic.MOV_REG_REG:
+                regs[operands[0]] = regs[operands[1]]
+            elif m is Mnemonic.XOR_REG_REG:
+                dst, src = operands
+                regs[dst] = regs[dst] ^ regs[src]
+            elif m in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
+                regs[_ESP] = (regs[_ESP] + operands[0]) & _MASK
+            ip = (ip + length) & _MASK
+        state.ip = ip
+        if not state.stack_base <= regs[_ESP] <= state.stack_base + len(state.stack):
+            raise _StackFault(regs[_ESP])
     except _StackFault as fault:
-        return Termination(
-            TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=fault.addr
-        )
-
-
-def _step_inner(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Termination | None:
-    stub = stubs.get(state.ip)
-    if stub is not None:
-        # cdecl callee: observe args above the return slot, then ret without
-        # popping them (the caller, i.e. the chain, owns the cleanup).
-        name, arity = stub
-        args = tuple(state.read32(state.esp + 4 * (i + 1)) for i in range(arity))
-        state.events.append(CallEvent(vaddr=state.ip, name=name, args=args))
-        state.ip = state.pop()
-        return None
-
-    if state.ip == EXIT_SENTINEL:
-        return Termination(TerminationKind.EXIT_SENTINEL)
-
-    section = state.image.section_at(state.ip)
-    if section is None or not section.executable:
-        return Termination(TerminationKind.FAULT, FaultKind.UNMAPPED_FETCH, vaddr=state.ip)
-    _, length, m, operands = decode_one(section.data, state.ip - section.vaddr, state.ip)
-
-    if m is Mnemonic.UNKNOWN:
-        return Termination(TerminationKind.UNSUPPORTED_INSTRUCTION, vaddr=state.ip)
-    if m is Mnemonic.INT_IMM8:
-        return Termination(
-            TerminationKind.FAULT, FaultKind.SOFTWARE_INTERRUPT, vaddr=state.ip
-        )
-
-    if m is Mnemonic.RET:
-        state.ip = state.pop()
-    elif m is Mnemonic.RET_IMM16:
-        state.ip = state.pop()
-        state.esp = state.esp + operands[0]
-    elif m is Mnemonic.JMP_INDIRECT:
-        state.ip = state.regs[operands[0]]
-    elif m is Mnemonic.CALL_INDIRECT:
-        state.push((state.ip + length) & _MASK)
-        state.ip = state.regs[operands[0]]
-    else:
-        if m is Mnemonic.POP_REG:
-            state.regs[operands[0]] = state.pop()
-        elif m is Mnemonic.PUSH_REG:
-            state.push(state.regs[operands[0]])
-        elif m is Mnemonic.PUSH_IMM32:
-            state.push(operands[0])
-        elif m is Mnemonic.MOV_REG_IMM32:
-            state.regs[operands[0]] = operands[1] & _MASK
-        elif m is Mnemonic.MOV_REG_REG:
-            state.regs[operands[0]] = state.regs[operands[1]]
-        elif m is Mnemonic.XOR_REG_REG:
-            dst, src = operands
-            state.regs[dst] = state.regs[dst] ^ state.regs[src]
-        elif m in (Mnemonic.ADD_ESP_IMM8, Mnemonic.ADD_ESP_IMM32):
-            state.esp = state.esp + operands[0]
-        elif m is Mnemonic.LEAVE:
-            state.esp = state.regs[_EBP]
-            state.regs[_EBP] = state.pop()
-        elif m is Mnemonic.NOP:
-            pass
-        state.ip = (state.ip + length) & _MASK
-
-    if not state.stack_base <= state.esp <= state.stack_base + len(state.stack):
-        return Termination(
-            TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=state.esp
-        )
+        return Termination(TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, vaddr=fault.addr)
     return None
 
 

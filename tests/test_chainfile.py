@@ -7,7 +7,9 @@ import pytest
 from conftest import ADDR_SECRET_NOPARM, ADDR_SECRET_PARM, ADDR_STR
 from ropforge.chain import EXIT_SENTINEL, SCANF_BAD_BYTES
 from ropforge.chainfile import load_chain_file, parse_chain_file, resolve
+from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.errors import ChainFileError, SymbolNotFoundError
+from ropforge.image import load_image
 
 FIG8 = """
 # three-fold iterative chain
@@ -128,3 +130,21 @@ def test_binary_path_relative_to_chain_file(tmp_path):
     chain.write_text("binary: sub/vuln\ncall: f\n")
     cf = load_chain_file(chain)
     assert Path(cf.binary_file()) == tmp_path / "sub" / "vuln"
+
+
+def test_stub_is_named_after_the_first_symbol_at_its_address():
+    # .symtab comes before .dynsym in image.symbols, so its name wins at an
+    # address both tables hold, whichever name the call was written with
+    target, other = 0x08048000, 0x08048008
+    img = load_image(
+        build_elf(
+            [SectionSpec(".text", target, b"\xc3" * 16, "ax")],
+            symbols=[SymbolSpec("local_b", target, 1), SymbolSpec("local_a", target, 1)],
+            dyn_symbols=[SymbolSpec("exported", target, 1), SymbolSpec("dyn_only", other, 1)],
+        )
+    )
+    assert [s.name for s in img.symbols] == ["local_b", "local_a", "exported", "dyn_only"]
+    for token in ("local_a", "exported", "0x08048000"):
+        cf = parse_chain_file(f"binary: x\nret_offset: 32\ncall: {token} 1\ncall: dyn_only\n")
+        stubs = resolve(cf, img).stubs
+        assert stubs == {target: ("local_b", 1), other: ("dyn_only", 0)}

@@ -499,6 +499,38 @@ def test_build_and_verify_reject_conflicting_stub_arities(demo_binary, tmp_path,
         assert err == "error: conflicting arities for stub at 0x080484a4\n"
 
 
+def test_verify_names_a_target_without_symbol_by_its_address(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    chain.write_text(f"binary: {demo_binary}\nret_offset: 32\ncall: 0x0804848c 7\n")
+    assert main(["verify", str(demo_binary), str(chain)]) == 0
+    out = capsys.readouterr().out
+    assert out == "CALL 0x0804848c sub_0804848c(0x00000007)\nEXIT (sentinel)\n"
+
+
+def test_crlf_chain_file_plans_like_its_lf_twin(demo_binary, tmp_path, capsys):
+    # The file is read as UTF-8 whatever the locale, so the comment decodes too.
+    text = FIG7_CHAIN.format(binary=demo_binary) + "call: SecretFunctionWithoutParm\n"
+    text = "# entrée\n" + text
+    outputs = []
+    for name, newline in (("lf.rop", b"\n"), ("crlf.rop", b"\r\n")):
+        (tmp_path / name).write_bytes(text.encode().replace(b"\n", newline))
+        assert main(["build", str(tmp_path / name), "--format", "escaped"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "cleanup_gadget" in outputs[0].err
+
+
+def test_undecodable_chain_file_exits_2(demo_binary, tmp_path, capsys):
+    chain = tmp_path / "chain.rop"
+    chain.write_bytes(FIG7_CHAIN.format(binary=demo_binary).encode() + b"# \xff\xfe\n")
+    for argv in (["build", str(chain)], ["verify", str(demo_binary), str(chain)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("bad_bytes", ["", "bad_bytes: none\n"], ids=["scanf", "none"])
 def test_section_past_4_gib_exits_2(tmp_path, capsys, bad_bytes):
     # pop ebp ; ret at 0x100000004, past the 32-bit address space

@@ -266,6 +266,54 @@ def test_exact_duplicates_collapse():
     assert len([s for s in img.symbols if s.name == "f"]) == 1
 
 
+def _symtab_image(*names):
+    """An image whose .symtab holds one function per name, in ``.text``; its
+    bytes, and the header offsets of .symtab and of its string table."""
+    raw = bytearray(
+        build_elf(
+            [SectionSpec(".text", 0x08048000, b"\xc3" * 16, "ax")],
+            symbols=[SymbolSpec(n, 0x08048000 + i, 1) for i, n in enumerate(names)],
+        )
+    )
+    ehdr = image.EHDR.unpack_from(raw)
+    shoff, shnum = ehdr[6], ehdr[12]
+    at = [shoff + i * image.SHDR.size for i in range(shnum)]
+    symtab = next(a for a in at if image.SHDR.unpack_from(raw, a)[1] == image.SHT_SYMTAB)
+    return raw, symtab, at[image.SHDR.unpack_from(raw, symtab)[6]]
+
+
+def _patch_field(raw, at, index, value):
+    """Set the ``index``-th 32-bit field of the record at ``at``."""
+    raw[at + 4 * index : at + 4 * index + 4] = value.to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("past", [0, 1, 0xFFFFFFFF], ids=["at-end", "past-end", "far-past"])
+def test_symbol_name_offset_at_or_past_the_string_table_end_is_dropped(past):
+    raw, symtab, strtab = _symtab_image("alpha", "beta")
+    str_size = image.SHDR.unpack_from(raw, strtab)[5]
+    entry = image.SHDR.unpack_from(raw, symtab)[4] + image.SYM.size  # the first after 0
+    _patch_field(raw, entry, 0, min(str_size + past, 0xFFFFFFFF))  # alpha's st_name
+    assert [s.name for s in load_image(bytes(raw)).symbols] == ["beta"]
+
+
+def test_last_symbol_name_without_nul_runs_to_the_table_end():
+    raw, _, strtab = _symtab_image("alpha", "beta")  # "\0alpha\0beta\0"
+    str_size = image.SHDR.unpack_from(raw, strtab)[5]
+    _patch_field(raw, strtab, 5, str_size - 1)  # the last NUL falls outside
+    assert [s.name for s in load_image(bytes(raw)).symbols] == ["alpha", "beta"]
+    _patch_field(raw, strtab, 5, str_size - 3)  # "be" is the table's last text
+    assert [s.name for s in load_image(bytes(raw)).symbols] == ["alpha", "be"]
+
+
+def test_symtab_linked_to_a_nobits_section_yields_no_symbols():
+    raw, symtab, strtab = _symtab_image("alpha", "beta")
+    _patch_field(raw, strtab, 1, image.SHT_NOBITS)  # every name reads as ""
+    assert load_image(bytes(raw)).symbols == ()
+    raw, symtab, _ = _symtab_image("alpha", "beta")
+    _patch_field(raw, symtab, 6, 0xFFFF)  # sh_link past the header table, the same
+    assert load_image(bytes(raw)).symbols == ()
+
+
 _TEXT = SectionSpec(".text", 0x08048000, b"\xc3" * 0x20, "ax")
 _DATA = SectionSpec(".data", 0x0804A000, b"d" * 0x20, "wa")
 _SYMBOL = st.builds(

@@ -12,7 +12,9 @@ from ropforge import kernels
 from ropforge.disasm import (
     FREE_BRANCH_LENGTH,
     MAX_INSN_LEN,
+    REG_NAMES,
     RULES,
+    TEXT,
     Mnemonic,
     decode_one,
     format_instruction,
@@ -318,3 +320,41 @@ def test_render_heads_across_run_boundaries(encodings):
     # neighbouring rules that share a first byte, sit next to each other in
     # byte order, or read their operands in opposite orders
     assert_rendered_as_decoded(encodings)
+
+
+def test_rendered_texts_hold_no_newline():
+    # render_rows finds where each text ends by the newlines of the joined
+    # buffer, so a text rendered from these (or dumped by json) holds none
+    assert not any("\n" in t for t in (*TEXT.values(), *REG_NAMES))
+
+
+_ROW_HEADS = ["", "0x", "\x1b[36m0x", '{"addr": "0x']
+_ROW_AFTERS = ["", ": ", "\x1b[0m: ", '", ']  # the CLI's, and none
+_ROW_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=30)
+
+
+def assert_rows_rendered(addrs, gids, head, after, texts):
+    expected = "".join(f"{head}{a:08x}{after}{texts[g]}\n" for a, g in zip(addrs, gids))
+    addr, gid = np.array(addrs, np.int64), np.array(gids, np.intp)
+    assert "".join(kernels.render_rows(addr, gid, head, after, texts)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROW_TEXT, min_size=1, max_size=8), st.data())
+def test_render_rows_formats_each_row(texts, data):
+    rows = st.tuples(st.integers(0, 0xFFFFFFFF), st.integers(0, len(texts) - 1))
+    drawn = data.draw(st.lists(rows, max_size=40))
+    head, after = data.draw(st.sampled_from(_ROW_HEADS)), data.draw(st.sampled_from(_ROW_AFTERS))
+    assert_rows_rendered([a for a, _ in drawn], [g for _, g in drawn], head, after, texts)
+
+
+def test_render_rows_across_gather_blocks():
+    # rows of about 60 bytes, several blocks of _GATHER_BYTES, texts of every
+    # length up to 40 (the empty one included) and ids in no order
+    texts = ["x" * n for n in range(41)]
+    gids = [(7 * r) % len(texts) for r in range(3000)]
+    addrs = [(0x9E3779B1 * r) & 0xFFFFFFFF for r in range(3000)]
+    assert sum(len(texts[g]) + 20 for g in gids) > 4 * kernels._GATHER_BYTES
+    for head, after in zip(_ROW_HEADS, _ROW_AFTERS):
+        assert_rows_rendered(addrs, gids, head, after, texts)
+    assert_rows_rendered([], [], "0x", ": ", texts)

@@ -313,3 +313,23 @@ def test_plan_simulate_round_trip(demo_image, call_shapes):
     assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
     assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in calls]
 
+
+def test_simulate_calls_the_module_step_once_per_step(demo_image, monkeypatch):
+    """ropbench counts ``sim.steps`` by patching ``ropforge.sim.step``, so
+    ``simulate`` must look ``step`` up in its module on every step."""
+    import ropforge.sim
+
+    calls = [CallStep(ADDR_SECRET_PARM, (ADDR_STR,)), CallStep(ADDR_SECRET_NOPARM)]
+    payload = build_payload(calls, demo_image)
+    # the steps a loop of its own takes, from the same boot
+    state = boot_state(demo_image, payload, 32)
+    state.ip = state.pop()
+    while step(state, stub_table()) is None:
+        pass
+    assert state.steps > len(calls)  # the cleanup gadget's pop and ret are steps too
+
+    counted = []
+    monkeypatch.setattr(ropforge.sim, "step", lambda *a: counted.append(a) or step(*a))
+    trace = simulate(demo_image, stub_table(), payload, 32)
+    assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
+    assert len(counted) == state.steps
