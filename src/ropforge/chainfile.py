@@ -45,28 +45,18 @@ _SINGLE_KEYS = ("binary", "ret_offset", "final", "bad_bytes", "pad_byte", "forma
 
 
 class ChainFile:
-    """Parsed but unresolved chain description."""
+    """Parsed but unresolved chain description; a key the file omits keeps its class default."""
 
-    def __init__(
-        self,
-        binary=None,
-        ret_offset="auto",
-        calls=None,
-        final="sentinel",
-        bad_bytes=SCANF_BAD_BYTES,
-        pad_byte=DEFAULT_PAD_BYTE,
-        out_format="hex",
-        source_dir=".",
-    ):
-        self.binary: str | None = binary
-        self.ret_offset: str = ret_offset
-        self.calls: list[tuple[str, list[str]]] = [] if calls is None else calls
-        self.final: str = final
-        self.bad_bytes: frozenset[int] = bad_bytes
-        self.pad_byte: int = pad_byte
-        self.out_format: str = out_format
-        # the directory a relative ``binary`` is read from
-        self.source_dir: str | Path = source_dir
+    binary: str | None = None
+    ret_offset: str = "auto"
+    final: str = "sentinel"
+    bad_bytes: frozenset[int] = SCANF_BAD_BYTES
+    pad_byte: int = DEFAULT_PAD_BYTE
+    out_format: str = "hex"
+
+    def __init__(self, source_dir: str | Path):
+        self.source_dir = source_dir  # the directory a relative ``binary`` is read from
+        self.calls: list[tuple[str, list[str]]] = []
 
     def binary_file(self) -> str:
         """The binary's path: ``binary`` joined to ``source_dir`` unless absolute."""
@@ -102,7 +92,7 @@ def _parse_bad_bytes(value: str) -> frozenset[int]:
 
 
 def parse_chain_file(text: str, source_dir: Path | str = ".") -> ChainFile:
-    cf = ChainFile(source_dir=source_dir)
+    cf = ChainFile(source_dir)
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -38,16 +38,15 @@ import numpy as np
 from . import disasm
 from .disasm import FREE_BRANCHES, Mnemonic
 
-# The free-branch mnemonic of each rule, indexed like RULE_OF; None for the others.
-_KIND_OF = (None, *(r.mnemonic if r.mnemonic in FREE_BRANCHES else None for r in disasm.RULES))
-
 # The code of the instruction each byte pair starts: 0 for no rule, the length
 # k of a normal rule, _FREE + k for a free branch of length k.  _CODE is
 # indexed by the pair read as a little-endian word, second << 8 | first.
 _FREE = 8
 _RULE_AT = np.frombuffer(disasm.RULE_AT, np.uint8)
 _RULE_LENGTH = np.array([0, *(r.length for r in disasm.RULES)], np.uint8)
-_RULE_CODE = _RULE_LENGTH + _FREE * np.array([k is not None for k in _KIND_OF], np.uint8)
+_RULE_CODE = _RULE_LENGTH + _FREE * np.array(
+    [0, *(r.mnemonic in FREE_BRANCHES for r in disasm.RULES)], np.uint8
+)
 _CODE = _RULE_CODE[_RULE_AT].reshape(256, 256).T.ravel()
 
 # The steps of the backward window search, and the free-branch lengths.
@@ -80,7 +79,7 @@ def scan_free_branches(data: bytes) -> list[tuple[int, Mnemonic]]:
     """Every byte offset where a free-branch instruction decodes, ascending."""
     offsets = np.flatnonzero(instruction_codes(data) >= _FREE)
     rule = _RULE_AT[_words(data, ">u2")[offsets]]  # first << 8 | second
-    return list(zip(offsets.tolist(), map(_KIND_OF.__getitem__, rule.tolist())))
+    return [(o, disasm.RULE_OF[r].mnemonic) for o, r in zip(offsets.tolist(), rule.tolist())]
 
 
 def window_trie(data: bytes, window_back: int, max_insns: int) -> list[tuple[np.ndarray, ...]]:

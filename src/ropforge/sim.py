@@ -83,14 +83,14 @@ class _StackFault(Exception):
 class MachineState:
     """Mutable per-run machine: registers, ip, stack bytes, event log."""
 
-    def __init__(self, image, stack_base, stack, regs=None, ip=0, steps=0, events=None):
+    def __init__(self, image, stack_base, stack):
         self.image: BinaryImage = image
         self.stack_base: int = stack_base
         self.stack: bytearray = stack
-        self.regs: list[int] = [0] * 8 if regs is None else regs
-        self.ip: int = ip
-        self.steps: int = steps
-        self.events: list[CallEvent] = [] if events is None else events
+        self.regs: list[int] = [0] * 8
+        self.ip: int = 0
+        self.steps: int = 0
+        self.events: list[CallEvent] = []
 
     @property
     def esp(self) -> int:
@@ -210,6 +210,15 @@ def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Terminati
     return None
 
 
+def run(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Termination:
+    """Step a booted machine, by this module's ``step``, until it terminates.
+    Reaching an unmapped address, other than a stub or the sentinel, ends a
+    run with ``UNMAPPED_FETCH`` there."""
+    while (term := step(state, stubs)) is None:
+        pass
+    return term
+
+
 def boot_state(image: BinaryImage, payload: Payload | bytes, ret_offset: int) -> MachineState:
     """Stack and registers at the instant the vulnerable function returns.
 
@@ -247,10 +256,8 @@ def simulate(
     state = boot_state(image, payload, ret_offset)
     # The vulnerable function's own ret: boot_state put its slot inside the payload.
     state.ip = state.pop()
-    while True:
-        term = step(state, stubs)
-        if term is not None:
-            return CallTrace(events=tuple(state.events), termination=term)
+    term = run(state, stubs)
+    return CallTrace(events=tuple(state.events), termination=term)
 
 
 def format_trace(trace: CallTrace) -> list[str]:

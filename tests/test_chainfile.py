@@ -50,6 +50,16 @@ def test_parse_overrides():
     assert cf.calls == [("SecretFunctionWithParm", ["&str"])]
 
 
+def test_parsed_files_never_share_calls():
+    # the defaults are class attributes; only the call list is per file
+    first, second = parse_chain_file(FIG8), parse_chain_file(FIG9)
+    assert first.calls is not second.calls
+    assert len(first.calls) == 3
+    assert second.calls == [("SecretFunctionWithParm", ["&str"])]
+    first.calls.append(("extra", []))
+    assert second.calls == parse_chain_file(FIG9).calls == [("SecretFunctionWithParm", ["&str"])]
+
+
 def test_resolve_auto_offset_and_symbols(demo_image):
     resolved = resolve(parse_chain_file(FIG8), demo_image)
     assert resolved.spec.ret_offset == 32

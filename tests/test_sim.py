@@ -24,9 +24,11 @@ from ropforge.sim import (
     MIN_STACK_SIZE,
     STACK_TOP,
     STEP_BUDGET,
+    Termination,
     TerminationKind,
     boot_state,
     format_trace,
+    run,
     simulate,
     step,
     trace_jsonl,
@@ -166,10 +168,7 @@ def test_step_budget(demo_image):
     jmp_addr = 0x08048578
     state.regs[0] = jmp_addr
     state.ip = jmp_addr
-    term = None
-    while term is None:
-        term = step(state, {})
-    assert term.kind is TerminationKind.STEP_BUDGET
+    assert run(state, {}) == Termination(TerminationKind.STEP_BUDGET)
     assert state.steps == STEP_BUDGET
 
 
