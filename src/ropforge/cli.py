@@ -11,12 +11,15 @@ contains bad bytes, 5 chain planning failed, 6 verification failed.
 Verification is simulator-only; this tool never executes target binaries.
 Set ROPFORGE_COLOR=0 to disable ANSI styling.
 
-``main`` parses argv once: when the first word names a subcommand, its
-subparser parses the rest directly, as argparse's subparsers action would
-after a first pass, and leftover words are the top-level parser's
-"unrecognized arguments" error.  Any other argv goes through the whole
-parser.  Files are read and written with plain ``open()``, so an error names
-a path as it was typed.
+``main`` reads a plain argv itself: when the first word names a subcommand
+and every later word is a positional or an exact option string with its one
+value, it builds the namespace from that subparser's own argparse actions
+(their types, choices and defaults, and its ``set_defaults``).  Any other
+argv (help, ``--opt=value``, abbreviations, ``--``, and every error) goes to
+the whole parser's ``parse_args``.  So the CLI is declared once, in
+``build_parser``, and help and error messages are argparse's own.  Files are
+read and written with plain ``open()``, so an error names a path as it was
+typed.
 """
 
 from __future__ import annotations
@@ -339,20 +342,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_plain(parser: argparse.ArgumentParser, words: list[str]):
+    """What ``parser.parse_args(words)`` returns, read off the parser's own
+    actions, when each word is a positional or an exact option string and its
+    one value (none for a ``store_true`` option), no positional or value starts
+    with ``-`` and every value passes its ``type`` and ``choices``; otherwise
+    None, and argparse parses, helps or refuses as usual."""
+    values = dict(parser._defaults)
+    values.update(
+        (action.dest, action.default)
+        for action in parser._actions
+        if action.default is not argparse.SUPPRESS
+    )
+    given, pairs = [], []
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        action = parser._option_string_actions.get(word)
+        if type(action) is argparse._StoreTrueAction:
+            values[action.dest] = action.const
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        pairs.append((action, value))
+    # argparse matches positionals against each run of words between options;
+    # that is plain order when each takes one word, or when a lone one is "?".
+    positionals = [action for action in parser._actions if not action.option_strings]
+    nargs = [action.nargs for action in positionals]
+    if nargs != [None] * len(given) and (nargs != ["?"] or len(given) > 1):
+        return None
+    for action, word in (*pairs, *zip(positionals, given)):
+        try:
+            value = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        if command is None:
+    args = None if command is None else _parse_plain(command, argv[1:])
+    if args is None:
+        try:
             args = parser.parse_args(argv)
-        else:
-            # What the subparsers action runs for a command, minus the first pass.
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_IO
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_IO
     try:
         return args.func(args)
     except NoCandidateError as exc:

@@ -420,6 +420,87 @@ def test_main_parses_as_parse_args_does(argv):
     assert got == expected
 
 
+def _drawn_argv(name: str) -> st.SearchStrategy[list[str]]:
+    """A ``name`` argv: its positionals (the right number, or any number of
+    other words) shuffled with option strings and their values, and with at
+    most one word of these: option strings, their ``=`` forms and prefixes,
+    every choice and some that are not, int and other words, and the words
+    argparse treats specially."""
+    command = cli.build_parser().commands[name]
+    options = list(command._option_string_actions)
+    choices = [str(c) for action in command._actions for c in action.choices or ()]
+    values = [*choices, "bogus", "0", "3", "200", "0x41", "x", "b", "c"]
+    prefixes = [option[:end] for option in options for end in range(2, len(option))]
+    odd = st.one_of(
+        st.sampled_from(options),
+        st.sampled_from([*values, "-h", "--", "-", "-5", ""]),
+        st.sampled_from(prefixes),
+        st.builds("{}={}".format, st.sampled_from(options), st.sampled_from(values)),
+    )
+
+    def words_for(action) -> list[str]:
+        """Words ``action`` takes, and one it rejects."""
+        if action.choices:
+            return [*map(str, action.choices), "bogus"]
+        return ["0", "200", "x"] if action.type is int else ["b", "c", "0x41"]
+
+    def option_and_value(option: str) -> st.SearchStrategy[tuple[str, ...]]:
+        action = command._option_string_actions[option]
+        if action.nargs == 0:
+            return st.just((option,))
+        return st.tuples(st.just(option), st.sampled_from([*words_for(action), "-h"]))
+
+    plain = [option for option in options if option not in ("-h", "--help")]
+    one = st.sampled_from(plain).flatmap(option_and_value) if plain else st.just(())
+    positionals = [action for action in command._actions if not action.option_strings]
+    parts = st.tuples(
+        st.tuples(*(st.sampled_from(words_for(a)).map(lambda w: (w,)) for a in positionals))
+        | st.lists(st.sampled_from(values).map(lambda w: (w,)), max_size=len(positionals) + 1),
+        st.lists(one, max_size=3),
+        st.lists(odd.map(lambda w: (w,)), max_size=1),
+    )
+    chunks = parts.flatmap(lambda drawn: st.permutations([c for part in drawn for c in part]))
+    return chunks.map(lambda chunks: [name, *(w for chunk in chunks for w in chunk)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(COMMANDS).flatmap(_drawn_argv))
+def test_main_parses_drawn_argv_as_parse_args_does(argv):
+    expected, got = _dispatch_outcomes(argv)
+    assert got == expected
+
+
+def test_main_parses_plain_argv_without_argparse(demo_binary, tmp_path, monkeypatch):
+    binary, chain, payload = str(demo_binary), tmp_path / "demo.rop", str(tmp_path / "p.bin")
+    chain.write_text(
+        f"binary: {binary}\nret_offset: auto echo\ncall: SecretFunctionWithParm &str\n"
+        "call: SecretFunctionWithoutParm\ncall: SecretFunctionWithoutParm\nfinal: sentinel\n"
+    )
+    chain = str(chain)
+    cases = [  # the benchmark's two request shapes, then the README walkthrough
+        ["build", chain, "--out", payload, "--format", "raw", "--force"],
+        ["verify", binary, chain, "--payload", payload],
+        ["symbols", binary],
+        ["offset", binary, "echo"],
+        ["gadgets", binary, "--class", "pop_ret"],
+        ["build", chain, "--out", payload, "--format", "raw"],
+        ["verify", binary, chain, "--payload", payload],
+        ["pattern", "200"],
+        ["pattern", "--locate", "0x6261616a"],
+    ]
+    expected = [_outcome(lambda: main(argv)) for argv in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    got = [_outcome(lambda: main(argv)) for argv in cases]
+    assert [code for code, _, _ in got] == [0] * len(cases)
+    assert got == expected
+    assert got[-1][1] == "offset=136\n"
+
+
 def test_build_and_verify_skip_pop_esp_cleanup(tmp_path):
     # pop esp ; ret sits below the only usable cleanup, pop eax ; ret
     text = b"\xcc" * 16 + b"\x5c\xc3" + b"\xcc" * 14 + b"\x58\xc3"
