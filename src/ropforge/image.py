@@ -2,7 +2,8 @@
 
 The loader accepts exactly what the rest of the toolkit targets: ELF32,
 little-endian, x86.  Relocations and dynamic linking are not interpreted;
-addresses are used as-is, i.e. the ASLR-off model.  The resulting
+addresses are used as-is, i.e. the ASLR-off model.  A section with no file
+bytes (``.bss``, ``.tbss``) is not loaded, whatever its size.  The resulting
 :class:`BinaryImage` is immutable and safe to share across threads.
 """
 
@@ -99,6 +100,13 @@ def _need(raw: bytes, offset: int, size: int, what: str) -> bytes:
     return raw[offset : offset + size]
 
 
+def _content(raw: bytes, header: tuple, what: str) -> bytes:
+    """A section's file bytes; an ``SHT_NOBITS`` section (``.bss``) has none."""
+    if header[1] == SHT_NOBITS:
+        return b""
+    return _need(raw, header[4], header[5], what)
+
+
 def _strz(table: str, offset: int) -> str:
     """The name at ``offset`` of a decoded string table, up to a NUL or its end."""
     end = table.find("\0", offset)
@@ -109,9 +117,9 @@ def load_image(raw: bytes) -> BinaryImage:
     """Parse a complete ELF file image into a queryable model.
 
     Raises :class:`NotElfError` (bad magic), :class:`UnsupportedError`
-    (anything but 32-bit little-endian x86, or an executable section that
-    overlaps another), or :class:`TruncatedError` (declared ranges extend
-    past the end of the input).
+    (anything but 32-bit little-endian x86, a section past 4 GiB, or an
+    executable section that overlaps another loaded one), or
+    :class:`TruncatedError` (declared ranges extend past the end of the input).
     """
     if len(raw) < 4 or raw[:4] != ELFMAG:
         raise NotElfError("missing ELF magic")
@@ -150,34 +158,24 @@ def load_image(raw: bytes) -> BinaryImage:
             headers.append(SHDR.unpack_from(table, i * shentsize))
 
     shstr = ""
-    if headers and shstrndx < len(headers):
-        h = headers[shstrndx]
-        if h[1] != SHT_NOBITS:
-            shstr = _need(raw, h[4], h[5], "section name table").decode("latin-1")
+    if shstrndx < len(headers):
+        shstr = _content(raw, headers[shstrndx], "section name table").decode("latin-1")
 
     sections: list[Section] = []
     for h in headers:
-        sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, *_ = h
+        sh_name, _, sh_flags, sh_addr, _, sh_size, *_ = h
         if not sh_flags & SHF_ALLOC or sh_size == 0:
             continue
         name = _strz(shstr, sh_name)
         if sh_addr + sh_size > 1 << 32:
             raise UnsupportedError(f"section {name!r} at {sh_addr:#x}+{sh_size:#x} runs past 4 GiB")
-        if sh_type == SHT_NOBITS:
-            # .bss-style: occupies memory, no file bytes. Materialized as
-            # zeros so read_virtual and symbol containment work; a cap keeps
-            # fuzzed headers from demanding gigabytes.
-            if sh_size > 1 << 26:
-                raise UnsupportedError(f"refusing to materialize {sh_size:#x}-byte nobits section")
-            data = bytes(sh_size)
-        else:
-            data = _need(raw, sh_offset, sh_size, "section content")
-        sections.append(Section(name, sh_addr, data, bool(sh_flags & SHF_EXECINSTR)))
+        data = _content(raw, h, "section content")
+        if data:  # a section with no file bytes is not loaded
+            sections.append(Section(name, sh_addr, data, bool(sh_flags & SHF_EXECINSTR)))
 
-    # Each executable address has one source: an executable section overlaps
-    # no other allocated one, while data sections may overlap (linkers place
-    # .tbss at the next data section's address).  By address, ties in header
-    # order, a section overlaps an earlier one iff it starts before their ends.
+    # Each executable address has one source: an executable section overlaps no
+    # other loaded one, while data sections may overlap.  By address, ties in
+    # header order, a section overlaps an earlier one iff it starts before their ends.
     end = exec_end = 0
     for s in sorted(sections, key=lambda s: s.vaddr):
         if s.vaddr < (end if s.executable else exec_end):
@@ -209,9 +207,8 @@ def _parse_symbols(raw, headers, sections) -> list[Symbol]:
         _, sh_type, _, _, sh_offset, sh_size, sh_link, *_ = h
         blob = _need(raw, sh_offset, sh_size, "symbol table")
         strtab = ""  # decoded once: one character per byte, so offsets hold
-        if sh_link < len(headers) and headers[sh_link][1] != SHT_NOBITS:
-            _, _, _, _, str_offset, str_size, *_ = headers[sh_link]
-            strtab = _need(raw, str_offset, str_size, "symbol string table").decode("latin-1")
+        if sh_link < len(headers):
+            strtab = _content(raw, headers[sh_link], "symbol string table").decode("latin-1")
         merged = tables[sh_type]
         entries = blob[SYM.size : len(blob) // SYM.size * SYM.size]  # whole entries after 0
         for st_name, st_value, st_size, st_info, _, _ in SYM.iter_unpack(entries):

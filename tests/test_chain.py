@@ -101,6 +101,21 @@ def test_emit_payload_zero_padding():
     assert payload.data[:4] == b"\xa4\x84\x04\x08"
 
 
+def test_emit_payload_refuses_a_pad_byte_outside_a_byte():
+    layout = StackLayout(pad_len=4, words=(LayoutWord(0x41424344, Role.FUNC_ADDR),))
+    for pad_byte in (-1, 0x100):
+        with pytest.raises(ValueError, match="^pad_byte must be a byte value$"):
+            emit_payload(layout, pad_byte=pad_byte)
+
+
+def test_unpack_words_refuses_a_region_of_partial_words():
+    payload = emit_payload(StackLayout(pad_len=4, words=(LayoutWord(1, Role.FUNC_ADDR),)))
+    assert unpack_words(payload, 4) == [1]
+    for ret_offset in (3, 5):
+        with pytest.raises(ValueError, match="^word region is not word-aligned$"):
+            unpack_words(payload, ret_offset)
+
+
 def test_check_bad_bytes():
     layout = plan_chain(spec([CallStep(0x0804_0A04)]))  # 0x0a inside the address
     payload = emit_payload(layout)

@@ -129,6 +129,19 @@ def test_bad_byte_values_validated():
         parse_chain_file("binary: x\nformat: xml\ncall: f\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("pad_byte: x", "pad_byte: 'x' is not an integer"),
+        ("bad_bytes: 0x0a zz", "bad_bytes: 'zz' is not an integer"),
+    ],
+)
+def test_non_integer_values_rejected(line, message):
+    with pytest.raises(ChainFileError) as info:
+        parse_chain_file(f"binary: x\n{line}\ncall: f\n")
+    assert str(info.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     cf = parse_chain_file("# heading\n\nbinary: x  # trailing\ncall: f 1 2\n")
     assert cf.binary == "x"

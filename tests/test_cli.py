@@ -38,6 +38,7 @@ from ropforge.cli import _RENDER, _annotation_table, _read_payload, main
 from ropforge.disasm import decode_window, format_instruction
 from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf
 from ropforge.gadgets import find_pop_ret
+from ropforge.image import EHDR, SHDR, SHT_NOBITS, load_image
 
 FIG8_CHAIN = """\
 binary: {binary}
@@ -306,6 +307,48 @@ def test_pattern_roundtrip(capsys):
 
 def test_pattern_not_found(capsys):
     assert main(["pattern", "--locate", "0x00000000"]) == 3
+
+
+def test_pattern_locate_reads_a_4_char_window(capsys):
+    assert main(["pattern", "--locate", "jaab"]) == 0  # 0x6261616a, as it sits in memory
+    assert capsys.readouterr() == ("offset=136\n", "")
+    for token in ("jaa", "jaabc"):
+        assert main(["pattern", "--locate", token]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: --locate takes a 32-bit value or a 4-char window\n",
+        )
+
+
+def test_pattern_needs_a_length_or_locate(capsys):
+    assert main(["pattern"]) == 2
+    assert capsys.readouterr() == ("", "error: pattern needs a LENGTH or --locate\n")
+
+
+def test_verify_reports_where_a_payload_stops(demo_binary, tmp_path, capsys):
+    chain = write_chain(tmp_path, FIG8_CHAIN, demo_binary)
+    payload = tmp_path / "payload"
+    for word, line, text in (
+        (
+            0x41414141,
+            '{"type": "termination", "kind": "fault", "fault": "unmapped_fetch", '
+            '"addr": "0x41414141"}',
+            "FAULT (unmapped fetch at 0x41414141)",
+        ),
+        (
+            0x08048400,  # 0xCC filler
+            '{"type": "termination", "kind": "unsupported_instruction", "addr": "0x08048400"}',
+            "UNSUPPORTED instruction at 0x08048400",
+        ),
+    ):
+        payload.write_bytes(b"A" * 32 + word.to_bytes(4, "little"))
+        argv = ["verify", str(demo_binary), str(chain), "--payload", str(payload)]
+        for json_flag, out in (([], text), (["--json"], line)):
+            assert main(argv + json_flag) == 6
+            assert capsys.readouterr() == (
+                out + "\n",
+                "verify: chain did not reach the exit sentinel\n",
+            )
 
 
 def test_console_script_installed(demo_binary):
@@ -641,6 +684,61 @@ def test_section_past_4_gib_exits_2(tmp_path, capsys, bad_bytes):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: section '.text' at 0xfffffff0+0x20 runs past 4 GiB\n"
+
+
+def _bss_binaries(tmp_path, bss_vaddr, bss_size):
+    """A binary whose 16-byte ``.bss`` has file bytes, and a copy whose ``.bss``
+    header says ``SHT_NOBITS``, ``bss_size`` bytes at ``bss_vaddr``."""
+    raw = build_elf(
+        [
+            SectionSpec(".text", 0x08048000, b"\x5f\x5d\xc3\x90\x58\xc3", "ax"),
+            SectionSpec(".bss", 0x0804A000, bytes(16), "wa"),
+        ],
+        symbols=[SymbolSpec("f", 0x08048000, 6), SymbolSpec("counter", 0x0804A000, 4, "object")],
+    )
+    shoff, shnum = EHDR.unpack_from(raw)[6], EHDR.unpack_from(raw)[12]
+    headers = range(shoff, shoff + shnum * SHDR.size, SHDR.size)
+    at = next(a for a in headers if SHDR.unpack_from(raw, a)[3] == 0x0804A000)
+    nobits = bytearray(raw)
+    struct.pack_into("<I", nobits, at + 4, SHT_NOBITS)  # sh_type
+    struct.pack_into("<I", nobits, at + 12, bss_vaddr)  # sh_addr
+    struct.pack_into("<I", nobits, at + 20, bss_size)  # sh_size
+    (tmp_path / "progbits").write_bytes(raw)
+    (tmp_path / "nobits").write_bytes(nobits)
+    return tmp_path / "progbits", tmp_path / "nobits"
+
+
+def test_nobits_section_of_200_mib_is_not_loaded(tmp_path, capsys):
+    # a .bss has no file bytes: nothing is loaded for it, whatever its size
+    progbits, nobits = _bss_binaries(tmp_path, 0x0804A000, 200 << 20)
+    assert [s.name for s in load_image(nobits.read_bytes()).sections] == [".text"]
+    assert main(["symbols", str(nobits)]) == 0
+    assert capsys.readouterr() == ("08048000 F f\n0804a000 O counter\n", "")
+    assert main(["gadgets", str(nobits)]) == 0
+    listing = capsys.readouterr()
+    assert listing == (
+        "0x08048000: pop edi ; pop ebp ; ret\n"
+        "0x08048001: pop ebp ; ret\n"
+        "0x08048002: ret\n"
+        "0x08048003: nop ; pop eax ; ret\n"
+        "0x08048004: pop eax ; ret\n"
+        "0x08048005: ret\n"
+        "6 gadgets\n",
+        "",
+    )
+    # .bss holds no code: the listing is the one of its twin with .bss bytes in the file
+    assert main(["gadgets", str(progbits)]) == 0
+    assert capsys.readouterr() == listing
+
+
+def test_nobits_section_past_4_gib_exits_2(tmp_path, capsys):
+    _, nobits = _bss_binaries(tmp_path, 0xFFFFF000, 200 << 20)
+    for command in ("symbols", "gadgets"):
+        assert main([command, str(nobits)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: section '.bss' at 0xfffff000+0xc800000 runs past 4 GiB\n",
+        )
 
 
 def test_build_rejects_ret_offset_past_16_mib(demo_binary, tmp_path, capsys):

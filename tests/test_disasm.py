@@ -135,6 +135,17 @@ def test_decode_window_invalid_cases():
     assert decode_window(b"", 0, 0) == []
 
 
+def test_offsets_outside_the_buffer_are_refused():
+    for data, offset in ((b"\xc3", 1), (b"\xc3", -1), (b"", 0)):
+        with pytest.raises(IndexError) as info:
+            decode_one(data, offset)
+        assert str(info.value) == f"offset {offset} outside buffer of {len(data)} bytes"
+    for start, end in ((0, 2), (2, 1), (-1, 1)):
+        with pytest.raises(IndexError) as info:
+            decode_window(b"\xc3", start, end)
+        assert str(info.value) == f"window [{start}, {end}) outside buffer of 1 bytes"
+
+
 def test_free_branch_kind_mapping():
     assert free_branch_kind(decode_one(b"\xc3", 0)) is Mnemonic.RET
     assert free_branch_kind(decode_one(b"\x5b", 0)) is None

@@ -2,6 +2,7 @@
 and the cleanup-gadget byte search against the enumeration and bad bytes."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from ropforge import gadgets
 from ropforge.chain import CallStep, ChainSpec, check_bad_bytes, emit_payload, plan_chain
 from ropforge.disasm import FREE_BRANCHES, REG_NAMES, RULES, Mnemonic, decode_window
 from ropforge.elfbuild import SectionSpec, build_elf
-from ropforge.errors import MissingCleanupGadgetError
+from ropforge.errors import MissingCleanupGadgetError, UnsatisfiableArityError
 from ropforge.gadgets import Gadget, classify, enumerate_gadgets, find_pop_ret
 from ropforge.image import BinaryImage, Section, load_image
 from ropforge.kernels import scan_free_branches
@@ -609,3 +610,87 @@ def test_simulation_types_scan_dense_gadgets(bench_modules, seed, index):
     inputs, _ = bench_modules
     for g in enumerate_gadgets(load_image(inputs.scan_dense(seed, index).files[inputs.BINARY])):
         sim_typed(g)
+
+
+# The planner, checked by execution: every chain it plans runs as declared,
+# and it refuses only the chains that no cleanup run of the image allows.
+_STUBS = [0x0A000000 + 0x10 * i for i in range(4)]  # call targets outside the image
+
+
+def _cleanup_runs(img, k, targets):
+    """The ``pop^k ; ret`` runs (esp not popped) of ``img`` that hold no call
+    target, each asserted by :func:`sim_typed` to run as a k-cleanup."""
+    runs = []
+    for s in img.executable_sections():
+        for start in range(len(s.data) - k):
+            raw = s.data[start : start + k + 1]
+            if raw[-1] != 0xC3 or not all(0x58 <= b <= 0x5F and b != 0x5C for b in raw[:-1]):
+                continue
+            vaddr = s.vaddr + start
+            if any(vaddr <= t <= vaddr + k for t in targets):
+                continue
+            g = Gadget(raw, (vaddr,))
+            assert classify(g).render() == f"pop_ret({k})"
+            sim_typed(g)  # it returns to word k with esp up by 4(k + 1)
+            runs.append(vaddr)
+    return runs
+
+
+@st.composite
+def _planner_cases(draw):
+    """An image, a chain of 2-4 calls of arity 0-7 whose targets are often on
+    the bytes of the image's cleanup runs, and bad bytes from those runs'
+    addresses."""
+    img = draw(
+        st.one_of(
+            pop_heavy_images(),  # pop runs of up to 7, so arities 5 and 6 find some
+            pop_heavy_images(_cleanup_rich_text),
+            disjoint_images(_cleanup_rich_text),
+        )
+    )
+    run_bytes = sorted(
+        s.vaddr + i
+        for s in img.executable_sections()
+        for m in re.finditer(rb"[\x58-\x5b\x5d-\x5f]+\xc3", s.data)
+        for i in range(m.start(), m.end())
+    )
+    arity_of: dict[int, int] = {}  # one arity per target, as a chain file resolves it
+    calls = []
+    for i in range(draw(st.integers(2, 4))):
+        target = draw(st.sampled_from(run_bytes + _STUBS))
+        arity = arity_of.setdefault(target, draw(st.sampled_from(range(8))))
+        calls.append(CallStep(target, tuple(0x11000000 + 0x100 * i + j for j in range(arity))))
+    address_bytes = sorted({b for a in run_bytes for b in a.to_bytes(4, "little")})
+    bad = draw(st.frozensets(st.sampled_from(address_bytes))) if address_bytes else frozenset()
+    return img, ChainSpec(tuple(calls), 32, bad_bytes=bad)
+
+
+_POP6 = image_of(b"\x58\x59\x5a\x5b\x5d\x5e\xc3")  # the one 6-cleanup at 0x08048000
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planner_cases())
+@example((_POP6, ChainSpec((CallStep(_STUBS[0], tuple(range(6))), CallStep(_STUBS[1])), 32)))
+@example((_POP6, ChainSpec((CallStep(0x08048003, tuple(range(6))), CallStep(_STUBS[1])), 32)))
+def test_planner_plans_every_chain_a_cleanup_run_allows(case):
+    img, spec = case
+    # what the planner must do: the first call past the arity limit, or with
+    # arguments mid-chain and no cleanup run, fails the plan
+    targets = frozenset(c.target for c in spec.calls)
+    expected = None
+    for i, call in enumerate(spec.calls):
+        if call.arity == 7:  # one past the limit of 6
+            expected = UnsatisfiableArityError, f"^call {i} passes {call.arity} arguments"
+            break
+        if i < len(spec.calls) - 1 and call.arity and not _cleanup_runs(img, call.arity, targets):
+            expected = MissingCleanupGadgetError, rf"no pop_ret\({call.arity}\) gadget"
+            break
+    if expected is not None:
+        with pytest.raises(expected[0], match=expected[1]):
+            plan_chain(spec, img)
+        return
+    payload = emit_payload(plan_chain(spec, img))
+    stubs = {c.target: (f"f{c.target:x}", c.arity) for c in spec.calls}
+    trace = simulate(img, stubs, payload, spec.ret_offset)
+    assert trace.termination.kind is TerminationKind.EXIT_SENTINEL
+    assert [(e.vaddr, e.args) for e in trace.events] == [(c.target, c.args) for c in spec.calls]

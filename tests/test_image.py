@@ -38,6 +38,7 @@ from ropforge.image import (
     read_virtual,
     stack_frame_displacement,
 )
+from ropforge.sim import FaultKind, Termination, TerminationKind, simulate
 
 
 def test_minimal_single_section_image():
@@ -314,6 +315,34 @@ def test_symtab_linked_to_a_nobits_section_yields_no_symbols():
     assert load_image(bytes(raw)).symbols == ()
 
 
+def test_sections_without_file_bytes_are_not_loaded():
+    # a .bss over .text's addresses, and an executable NOBITS section, which
+    # no linker emits: neither has file bytes, so neither is loaded
+    raw = bytearray(
+        build_elf(
+            [
+                SectionSpec(".text", 0x08048000, b"\xc3" * 16, "ax"),
+                SectionSpec(".bss", 0x08048008, bytes(16), "wa"),
+                SectionSpec(".xbss", 0x08049000, b"\xc3" * 4, "ax"),
+            ],
+            symbols=[SymbolSpec("f", 0x08048000, 1), SymbolSpec("g", 0x08049000, 4)],
+        )
+    )
+    shoff, shnum = image.EHDR.unpack_from(raw)[6], image.EHDR.unpack_from(raw)[12]
+    for at in range(shoff, shoff + shnum * image.SHDR.size, image.SHDR.size):
+        if image.SHDR.unpack_from(raw, at)[3] in (0x08048008, 0x08049000):
+            _patch_field(raw, at, 1, image.SHT_NOBITS)
+    img = load_image(bytes(raw))
+    assert [s.name for s in img.sections] == [".text"]
+    assert [(s.name, s.kind) for s in img.symbols] == [("f", "function"), ("g", "other")]
+    with pytest.raises(OutOfRangeError):
+        read_virtual(img, 0x08048010, 4)  # .bss past .text's end
+    trace = simulate(img, {}, b"A" * 4 + (0x08049000).to_bytes(4, "little"), 4)
+    assert trace.termination == Termination(
+        TerminationKind.FAULT, FaultKind.UNMAPPED_FETCH, 0x08049000
+    )
+
+
 _TEXT = SectionSpec(".text", 0x08048000, b"\xc3" * 0x20, "ax")
 _DATA = SectionSpec(".data", 0x0804A000, b"d" * 0x20, "wa")
 _SYMBOL = st.builds(
@@ -561,6 +590,18 @@ def test_lookups_build_the_name_index_once(monkeypatch):
     for _ in range(3):
         assert lookup_symbol(img, "echo").vaddr == ADDR_ECHO
     assert len(built) == 1 and built[0] is img
+
+
+def test_section_header_entry_below_40_bytes_is_truncated():
+    raw = bytearray(demo_elf_bytes())
+    raw[46:48] = (39).to_bytes(2, "little")  # e_shentsize
+    with pytest.raises(TruncatedError, match="^section header entry size 39 too small$"):
+        load_image(bytes(raw))
+
+
+def test_read_virtual_refuses_a_negative_length(demo_image):
+    with pytest.raises(ValueError, match="^negative length$"):
+        read_virtual(demo_image, TEXT_VADDR, -1)
 
 
 def test_truncated_section_content():

@@ -172,6 +172,30 @@ def test_step_budget(demo_image):
     assert state.steps == STEP_BUDGET
 
 
+def test_terminations_render_as_the_trace_prints_them(demo_image):
+    state = boot_state(demo_image, b"A" * 36, 32)
+    state.regs[0] = state.ip = 0x08048578  # jmp eax, to itself
+    assert run(state, {}).render() == "HALT (step budget exhausted)"
+    payload = b"A" * 32 + (0x08048400).to_bytes(4, "little")  # 0xCC filler
+    trace = simulate(demo_image, stub_table(), payload, 32)
+    assert format_trace(trace) == ["UNSUPPORTED instruction at 0x08048400"]
+
+
+def test_stub_reading_arguments_above_the_stack_top_faults(demo_image):
+    # 48 KiB fill the region's top three quarters, so the stub's address is
+    # the region's last word, and its one argument word lies past STACK_TOP
+    stub = STUB_BY_ARITY[1]
+    payload = b"A" * (48 * 1024 - 4) + stub.to_bytes(4, "little")
+    state = boot_state(demo_image, payload, 48 * 1024 - 4)
+    assert state.stack_base + len(state.stack) == STACK_TOP
+    trace = simulate(demo_image, stub_table(), payload, 48 * 1024 - 4)
+    assert trace.events == ()
+    assert trace.termination == Termination(
+        TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, STACK_TOP + 4
+    )
+    assert format_trace(trace) == ["FAULT (stack out of bounds at 0xc0000004)"]
+
+
 def test_software_interrupt_faults(demo_image):
     raw = bytearray(b"\xcd\x80")
     from ropforge.elfbuild import SectionSpec, build_elf
