@@ -19,7 +19,6 @@ from .chain import (
     check_bad_bytes,
     emit_payload,
     plan_chain,
-    unpack_words,
 )
 from .disasm import (
     Instruction,
@@ -118,5 +117,4 @@ __all__ = [
     "simulate",
     "stack_frame_displacement",
     "step",
-    "unpack_words",
 ]

@@ -84,15 +84,6 @@ class StackLayout(NamedTuple):
     pad_len: int
     words: tuple[LayoutWord, ...]
 
-    def values(self) -> list[int]:
-        """The words' values in payload order, decoded for library callers."""
-        return [w.value for w in self.words]
-
-    @property
-    def total_length(self) -> int:
-        """The payload's length in bytes, measured for library callers."""
-        return self.pad_len + WORD_SIZE * len(self.words)
-
 
 class Payload(NamedTuple):
     data: bytes
@@ -112,11 +103,12 @@ def plan_chain(spec: ChainSpec, image: BinaryImage | None = None) -> StackLayout
 
     Words are emitted in stack order starting at the overwritten return
     address slot, each successive word at the next higher address.  Non-final
-    calls with arguments get the cleanup gadget ``find_pop_ret`` finds in
-    ``image``, at an address free of ``spec.bad_bytes`` where one exists,
-    passing over any run that holds a call target (the simulator takes it as
-    the call); raises :class:`MissingCleanupGadgetError` when there is none
-    (or no image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
+    calls with arguments get the cleanup gadget ``gadgets.lowest_pop_ret``
+    finds over the plan's one ``cleanup_views`` of ``image``, at an address
+    free of ``spec.bad_bytes`` where one exists, passing over any run that
+    holds one of the chain's call targets (the simulator takes it as the
+    call); raises :class:`MissingCleanupGadgetError` when there is none (or
+    no image) and :class:`UnsatisfiableArityError` past ``MAX_CALL_ARITY``.
     """
     words: list[LayoutWord] = []
     last = len(spec.calls) - 1
@@ -171,11 +163,3 @@ def check_bad_bytes(payload: Payload, bad: frozenset[int] | set[int]) -> list[tu
         hits.append((offset, data[offset], payload.role_at(offset).value))
         offset = view.find(1, offset + 1)
     return hits
-
-
-def unpack_words(payload: Payload, ret_offset: int) -> list[int]:
-    """Decode a payload's words (little-endian) to integers, for library callers."""
-    region = payload.data[ret_offset:]
-    if len(region) % WORD_SIZE:
-        raise ValueError("word region is not word-aligned")
-    return [v for (v,) in struct.iter_unpack("<I", region)]

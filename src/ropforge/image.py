@@ -212,8 +212,7 @@ def _parse_symbols(raw, headers, sections) -> list[Symbol]:
         merged = tables[sh_type]
         entries = blob[SYM.size : len(blob) // SYM.size * SYM.size]  # whole entries after 0
         for st_name, st_value, st_size, st_info, _, _ in SYM.iter_unpack(entries):
-            end = strtab.find("\0", st_name)  # _strz, inlined: no call per entry
-            name = strtab[st_name:end] if end >= 0 else strtab[st_name:]
+            name = _strz(strtab, st_name)
             if not name or (name, st_value) in merged:
                 continue
             kind = KIND_BY_STT.get(st_info & 0xF, "other")

@@ -115,8 +115,9 @@ class MachineState:
         self.stack[off : off + 4] = (value & _MASK).to_bytes(4, "little")
 
     def pop(self) -> int:
-        value = self.read32(self.esp)
-        self.esp = self.esp + 4
+        esp = self.regs[_ESP]
+        value = self.read32(esp)
+        self.regs[_ESP] = (esp + 4) & _MASK
         return value
 
     def push(self, value: int) -> None:
@@ -165,15 +166,10 @@ def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Terminati
                     return Termination(TerminationKind.UNSUPPORTED_INSTRUCTION, vaddr=ip)
                 return Termination(TerminationKind.FAULT, FaultKind.SOFTWARE_INTERRUPT, vaddr=ip)
 
-        if m in _POPS:  # MachineState.pop, inline; leave first moves esp to ebp
+        if m in _POPS:  # leave first moves esp to ebp
             if m is _LEAVE:
                 regs[_ESP] = regs[_EBP]
-            esp = regs[_ESP]
-            off = esp - state.stack_base
-            if off < 0 or off + 4 > len(state.stack):
-                raise _StackFault(esp)
-            word = int.from_bytes(state.stack[off : off + 4], "little")
-            regs[_ESP] = (esp + 4) & _MASK
+            word = state.pop()
             if m is _RET:
                 ip = word
             elif m is _RET_IMM16:

@@ -5,7 +5,8 @@ Each record is one ``main(argv)`` call in this process: its argv, the
 stdout bytes, its stderr, and the bytes of the file its ``--out`` names.  The
 commands run in a temporary directory on relative paths, so two checkouts
 print the same digest exactly when their output is byte-identical.  Prints
-the record count and the digest.
+the record count and the digest.  ``tests/test_cli.py`` checks both in
+Tier-1; a change to the CLI's output updates them there.
 
 Inputs: the test suite's demo binary with two chain files, and the benchmark
 generators' ``chain-small`` and ``chain-large`` seeds 101-102 cases 0-49 and
@@ -24,13 +25,17 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
+_PATH = sys.path[:]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "ropbench")]
 
 import conftest  # noqa: E402  (the demo binary)
 import inputs  # noqa: E402  (the benchmark's seeded cases)
 from ropforge.cli import main  # noqa: E402
+
+sys.path[:] = _PATH  # loaded: an importing test run keeps its own path
 
 GADGET_FLAGS = [
     [],
@@ -123,10 +128,12 @@ def corpus(workdir: Path):
                 yield from chain_commands(inputs.BINARY, inputs.CHAIN)
 
 
-def main_digest() -> int:
-    digest, count = hashlib.sha256(), 0
+def digest() -> tuple[int, str]:
+    """The record count and the SHA-256 of the corpus's records.  The working
+    directory and ``ROPFORGE_COLOR`` are as they were afterwards."""
+    sha, count = hashlib.sha256(), 0
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with mock.patch.dict(os.environ), tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for argv in corpus(Path(tmp)):
@@ -138,12 +145,17 @@ def main_digest() -> int:
                     outcome = run(argv)
                     written = Path(out).read_bytes() if out and os.path.exists(out) else None
                     record = (argv, color, *outcome, written)
-                    digest.update(repr(record).encode() + b"\n")
+                    sha.update(repr(record).encode() + b"\n")
                     count += 1
         finally:
             os.chdir(here)
+    return count, sha.hexdigest()
+
+
+def main_digest() -> int:
+    count, hexdigest = digest()
     print(f"{count} records")
-    print(digest.hexdigest())
+    print(hexdigest)
     return 0
 
 

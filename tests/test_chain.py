@@ -16,7 +16,6 @@ from ropforge.chain import (
     check_bad_bytes,
     emit_payload,
     plan_chain,
-    unpack_words,
 )
 from conftest import target_on_cleanup_elf
 from ropforge.chainfile import parse_chain_file, resolve
@@ -33,21 +32,21 @@ def spec(calls, ret_offset=32, final=0x41414141, **kw):
 def test_single_zero_arg_call():
     layout = plan_chain(spec([CallStep(0x080484A4)]))
     assert layout.pad_len == 32
-    assert layout.values() == [0x080484A4, 0x41414141]
+    assert [w.value for w in layout.words] == [0x080484A4, 0x41414141]
     assert [w.role for w in layout.words] == [Role.FUNC_ADDR, Role.FINAL_TARGET]
 
 
 def test_three_fold_iteration():
     calls = [CallStep(0x0804848B)] * 3
     layout = plan_chain(spec(calls, final=0xDEADC0DE))
-    assert layout.values() == [0x0804848B, 0x0804848B, 0x0804848B, 0xDEADC0DE]
+    assert [w.value for w in layout.words] == [0x0804848B, 0x0804848B, 0x0804848B, 0xDEADC0DE]
 
 
 def test_mid_chain_argument_needs_cleanup(demo_image):
     calls = [CallStep(0x080484A4, (0x0804A030,)), CallStep(0x0804848B)]
     layout = plan_chain(spec(calls, final=0xDEADC0DE), demo_image)
     cleanup = find_pop_ret(demo_image, 1).vaddr
-    assert layout.values() == [0x080484A4, cleanup, 0x0804A030, 0x0804848B, 0xDEADC0DE]
+    assert [w.value for w in layout.words] == [0x080484A4, cleanup, 0x0804A030, 0x0804848B, 0xDEADC0DE]
     assert [w.role for w in layout.words] == [
         Role.FUNC_ADDR,
         Role.CLEANUP_GADGET,
@@ -59,7 +58,7 @@ def test_mid_chain_argument_needs_cleanup(demo_image):
 
 def test_final_call_args_follow_final_target():
     layout = plan_chain(spec([CallStep(0x080484A4, (0x0804A030,))], final=0xDEADC0DE))
-    assert layout.values() == [0x080484A4, 0xDEADC0DE, 0x0804A030]
+    assert [w.value for w in layout.words] == [0x080484A4, 0xDEADC0DE, 0x0804A030]
 
 
 def test_missing_cleanup_gadget():
@@ -83,7 +82,7 @@ def test_zero_arg_chaining_is_concatenation():
     f, g, t = 0x08048100, 0x08048200, 0x41414141
     both = plan_chain(spec([CallStep(f), CallStep(g)], final=t))
     prefix = plan_chain(spec([CallStep(f)], final=g))
-    assert both.values() == prefix.values() + [t]
+    assert [w.value for w in both.words] == [w.value for w in prefix.words] + [t]
 
 
 def test_emit_payload_fig_layout():
@@ -106,14 +105,6 @@ def test_emit_payload_refuses_a_pad_byte_outside_a_byte():
     for pad_byte in (-1, 0x100):
         with pytest.raises(ValueError, match="^pad_byte must be a byte value$"):
             emit_payload(layout, pad_byte=pad_byte)
-
-
-def test_unpack_words_refuses_a_region_of_partial_words():
-    payload = emit_payload(StackLayout(pad_len=4, words=(LayoutWord(1, Role.FUNC_ADDR),)))
-    assert unpack_words(payload, 4) == [1]
-    for ret_offset in (3, 5):
-        with pytest.raises(ValueError, match="^word region is not word-aligned$"):
-            unpack_words(payload, ret_offset)
 
 
 def test_check_bad_bytes():
@@ -204,16 +195,14 @@ def test_length_identity():
     layout = plan_chain(spec([CallStep(0x080484A4, (1, 2, 3))], ret_offset=13))
     payload = emit_payload(layout)
     assert len(payload.data) == 13 + 4 * len(layout.words)
-    assert layout.total_length == len(payload.data)
 
 
 def test_serialization_round_trip_matches_struct_oracle():
     layout = plan_chain(spec([CallStep(0x080484A4, (0xDEAD, 7))], final=0xCAFEBABE))
     payload = emit_payload(layout)
     # independent packing oracle
-    expected = b"".join(struct.pack("<I", v & 0xFFFFFFFF) for v in layout.values())
+    expected = b"".join(struct.pack("<I", w.value & 0xFFFFFFFF) for w in layout.words)
     assert payload.data[32:] == expected
-    assert unpack_words(payload, 32) == [v & 0xFFFFFFFF for v in layout.values()]
 
 
 @given(
@@ -233,7 +222,8 @@ def test_serialization_round_trip_random(calls, ret_offset):
         return  # mid-chain args need a gadget set; covered elsewhere
     layout = plan_chain(spec(steps, ret_offset=ret_offset))
     payload = emit_payload(layout)
-    assert unpack_words(payload, ret_offset) == [v & 0xFFFFFFFF for v in layout.values()]
+    expected = b"".join(struct.pack("<I", w.value & 0xFFFFFFFF) for w in layout.words)
+    assert payload.data[ret_offset:] == expected
     assert len(payload.data) == ret_offset + 4 * len(layout.words)
 
 

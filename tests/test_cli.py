@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -1000,7 +1001,7 @@ def test_planner_decodes_no_gadget(demo_binary, demo_image, tmp_path, capsys, mo
     with monkeypatch.context() as m:
         m.setattr("ropforge.gadgets.decode_window", refuse)
         layout = plan_chain(ChainSpec(calls=calls, ret_offset=32), demo_image)
-        assert layout.values()[1] == ADDR_POP2
+        assert layout.words[1].value == ADDR_POP2
         assert main(["build", str(chain), "--format", "raw", "--out", str(payload)]) == 0
         assert f"cleanup_gadget  {ADDR_POP2:#010x}" in capsys.readouterr().out
         assert main(["verify", str(demo_binary), str(chain), "--payload", str(payload)]) == 0
@@ -1190,3 +1191,19 @@ def test_import_loads_neither_dataclasses_nor_numpy(module):
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# A change that alters the CLI's output on purpose updates both and says why.
+DIGEST_RECORDS = 7424
+DIGEST = "084b1c21f5e20de0cbd8c6a2261e36eb1d46f2d78d0488da7a7facb6e1b750a0"
+
+
+def test_cli_output_matches_the_recorded_digest():
+    """Every byte ``tests/cli_digest.py``'s corpus prints or writes, in
+    process; the run leaves the environment, directory and path as it found
+    them."""
+    before = (os.environ.get("ROPFORGE_COLOR"), os.getcwd(), sys.path[:])
+    import cli_digest
+
+    assert cli_digest.digest() == (DIGEST_RECORDS, DIGEST)
+    assert (os.environ.get("ROPFORGE_COLOR"), os.getcwd(), sys.path) == before

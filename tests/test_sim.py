@@ -17,7 +17,9 @@ from ropforge.chain import (
     emit_payload,
     plan_chain,
 )
+from ropforge.disasm import REG_NAMES
 from ropforge.gadgets import find_pop_ret
+from ropforge.image import BinaryImage, Section
 from ropforge.sim import (
     CallEvent,
     FaultKind,
@@ -152,6 +154,71 @@ def test_stack_pivot_gadget(demo_image):
     assert step(state, {}) is None  # ret
     assert state.ip == EXIT_SENTINEL
     assert step(state, {}).kind is TerminationKind.EXIT_SENTINEL
+
+
+CODE = 0x08048000
+EAX, ECX, EBP = (REG_NAMES.index(r) for r in ("eax", "ecx", "ebp"))
+
+
+def boot_at(code: bytes):
+    """A machine about to run ``code``, with esp at 64 stack bytes 00 01 .. 3f."""
+    image = BinaryImage(0, (Section(".text", CODE, code, True),), ())
+    state = boot_state(image, bytes(range(64)), 0)
+    state.ip = CODE
+    return state
+
+
+def test_call_reg_pushes_the_next_instruction_then_jumps():
+    state = boot_at(b"\xff\xd0")  # call eax
+    esp = state.esp
+    state.regs[EAX] = 0x11223344
+    assert step(state, {}) is None
+    assert state.ip == 0x11223344
+    assert state.esp == esp - 4
+    assert state.read32(state.esp) == CODE + 2
+
+
+def test_ret_imm16_adds_its_immediate_after_the_pop():
+    state = boot_at(b"\xc2\x08\x00")  # ret 8
+    esp = state.esp
+    assert step(state, {}) is None
+    assert state.ip == 0x03020100
+    assert state.esp == esp + 4 + 8
+
+
+def test_xor_reg_reg_computes_xor():
+    state = boot_at(b"\x31\xc8")  # xor eax, ecx
+    state.regs[EAX], state.regs[ECX] = 0b1100, 0b1010
+    assert step(state, {}) is None
+    assert (state.regs[EAX], state.regs[ECX]) == (0b0110, 0b1010)
+    assert state.ip == CODE + 2
+
+
+def test_push_imm32_pushes_its_immediate():
+    state = boot_at(b"\x68\x78\x56\x34\x12")  # push 0x12345678
+    esp = state.esp
+    assert step(state, {}) is None
+    assert state.esp == esp - 4
+    assert state.read32(state.esp) == 0x12345678
+    assert state.ip == CODE + 5
+
+
+def test_leave_moves_esp_to_ebp_before_it_pops():
+    state = boot_at(b"\xc9")  # leave
+    esp = state.esp
+    state.regs[EBP] = esp + 16
+    assert step(state, {}) is None
+    assert state.regs[EBP] == 0x13121110  # the word at the old ebp
+    assert state.esp == esp + 20
+    assert state.ip == CODE + 1
+
+
+def test_mov_reg_reg_copies_the_source_into_the_destination():
+    state = boot_at(b"\x89\xc8")  # mov eax, ecx
+    state.regs[EAX], state.regs[ECX] = 0x11111111, 0x22222222
+    assert step(state, {}) is None
+    assert (state.regs[EAX], state.regs[ECX]) == (0x22222222, 0x22222222)
+    assert state.ip == CODE + 2
 
 
 def test_sentinel_direct(demo_image):
