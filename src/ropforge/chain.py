@@ -48,6 +48,7 @@ class CallStep(_CallStep):  # a subclass, for the __new__ that validates and mas
     __slots__ = ()
 
     def __new__(cls, target, args=()):
+        target &= 0xFFFFFFFF
         if not target:
             raise ValueError("call target must be nonzero")
         return super().__new__(cls, target, tuple(a & 0xFFFFFFFF for a in args))
@@ -64,7 +65,7 @@ class _ChainSpec(NamedTuple):
     bad_bytes: frozenset[int] = frozenset()
 
 
-class ChainSpec(_ChainSpec):  # a subclass, for the __new__ that validates
+class ChainSpec(_ChainSpec):  # a subclass, for the __new__ that validates and masks
     __slots__ = ()
 
     def __new__(cls, calls, ret_offset, final_target=EXIT_SENTINEL, bad_bytes=frozenset()):
@@ -72,7 +73,7 @@ class ChainSpec(_ChainSpec):  # a subclass, for the __new__ that validates
             raise ValueError("a chain needs at least one call")
         if ret_offset < 0:
             raise ValueError("ret_offset must be >= 0")
-        return super().__new__(cls, calls, ret_offset, final_target, bad_bytes)
+        return super().__new__(cls, calls, ret_offset, final_target & 0xFFFFFFFF, bad_bytes)
 
 
 class LayoutWord(NamedTuple):

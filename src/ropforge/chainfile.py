@@ -145,10 +145,10 @@ def _resolve_address(image: BinaryImage, token: str, what: str) -> int:
         return lookup_symbol(image, token[1:]).vaddr
     if token[:1].isdigit() or token.startswith("-"):
         value = _parse_int(token, what)
-        # Negative words keep their two's-complement meaning.
+        # Negative words keep their two's-complement meaning: the records mask them.
         if not -(1 << 31) <= value < 1 << 32:
             raise ChainFileError(f"{what}: {token} does not fit in a 32-bit word")
-        return value & 0xFFFFFFFF
+        return value
     return lookup_symbol(image, token).vaddr
 
 
@@ -177,10 +177,11 @@ def resolve(cf: ChainFile, image: BinaryImage) -> ResolvedChain:
     for target_token, arg_tokens in cf.calls:
         target = _resolve_address(image, target_token, "call target")
         args = tuple([_resolve_address(image, t, "call argument") for t in arg_tokens])
-        calls.append(CallStep(target, args))
-        name = name_at.get(target) or f"sub_{target:08x}"
-        if stubs.setdefault(target, (name, len(args)))[1] != len(args):
-            raise ChainFileError(f"conflicting arities for stub at {target:#010x}")
+        call = CallStep(target, args)
+        calls.append(call)
+        name = name_at.get(call.target) or f"sub_{call.target:08x}"
+        if stubs.setdefault(call.target, (name, len(args)))[1] != len(args):
+            raise ChainFileError(f"conflicting arities for stub at {call.target:#010x}")
 
     if cf.final == "sentinel":
         final = EXIT_SENTINEL

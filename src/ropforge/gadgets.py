@@ -12,8 +12,9 @@ instruction's encoding (its head), then the bytes of its parent, the window
 from its second instruction.  So level by level, across sections, each
 distinct (head, parent id) pair gets one gadget id, and ids stand for
 distinct byte strings without any window's bytes being sliced or hashed.
-The distinct heads stay packed (:func:`ropforge.kernels.pack_encodings`) and
-are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
+The distinct heads stay packed (:func:`ropforge.kernels.pack_encodings`), as
+sort keys whose bits this module never reads, with their lengths from the
+trie, and are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
 each id's text is its head's text, then ``" ; "`` and its parent's text.
 The rows are two numpy arrays, address and gadget id, in address order.  A
 gadget's class is a byte pattern read through the same byte-class table the
@@ -30,7 +31,6 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .disasm import (
-    MAX_INSN_LEN,
     REG_NAMES,
     RULES,
     Instruction,
@@ -54,10 +54,6 @@ _CLEANUP_POP_BYTES = bytes(_POP_FIRST + r for r in sorted(CLEANUP_POP_REGS))
 _CLEANUP_CLASS = bytes(
     ord("p") if b in _CLEANUP_POP_BYTES else ord("r") if b == _RET_FIRST else ord(".")
     for b in range(256)
-)
-# Encoded length by first byte: every first byte of the rule table has one.
-_FIRST_LENGTH = bytes(
-    next((r.length for r in RULES if r.first[0] <= b <= r.first[1]), 0) for b in range(256)
 )
 # add esp, imm: the opcode and ModRM bytes, and the length with the immediate.
 _PIVOT_LENGTH = {
@@ -184,39 +180,29 @@ def _join_up(heads: list, head_of: list[int], parent_of: list[int], sep):
     return out
 
 
-def _head_bytes(heads) -> list[bytes]:
-    """The bytes of each head :func:`ropforge.kernels.pack_encodings` packed:
-    its first byte gives its length, and its bytes open its packed form."""
-    big = heads.astype(">u8").tobytes()
-    at = range(8 - MAX_INSN_LEN, len(big), 8)
-    first = (heads >> 8 * (MAX_INSN_LEN - 1)).tolist()
-    return [big[i : i + _FIRST_LENGTH[f]] for i, f in zip(at, first)]
-
-
 class GadgetListing(Sequence[Gadget]):
     """The unique gadgets of an image, ordered by bytes, and every address
     each occurs at.
 
     Each unique gadget has an id.  ``addr`` and ``gid`` are numpy arrays with
     one item per occurrence, its address and its gadget's id, ascending by
-    address.  ``id_texts[i]`` is gadget ``i``'s text.  Gadget ``i`` is the
-    head encoding ``heads[head_of[i]]`` followed by gadget ``parent_of[i]``
-    (-1 for none), which has a lower id; ``heads`` is a numpy array of the
-    distinct heads, packed by :func:`ropforge.kernels.pack_encodings`,
-    ascending.  ``id_bytes`` (the bytes of each id, read out of the packed
-    heads) and the :class:`Gadget` items are built on first access.
+    address.  ``id_texts[i]`` is gadget ``i``'s text.  Gadget ``i`` is head
+    ``head_of[i]``'s encoding followed by gadget ``parent_of[i]`` (-1 for
+    none), which has a lower id; ``head_bytes()`` returns each head's bytes.
+    ``id_bytes`` (the bytes of each id) and the :class:`Gadget` items are
+    built on first access.
     """
 
-    def __init__(self, addr, gid, id_texts: list[str], heads, head_of, parent_of):
+    def __init__(self, addr, gid, id_texts: list[str], head_bytes, head_of, parent_of):
         self.addr = addr
         self.gid = gid
         self.id_texts = id_texts
-        self._trie = heads, head_of, parent_of
+        self._trie = head_bytes, head_of, parent_of
 
     @functools.cached_property
     def id_bytes(self) -> list[bytes]:
-        heads, head_of, parent_of = self._trie
-        return _join_up(_head_bytes(heads), head_of, parent_of, b"")
+        head_bytes, head_of, parent_of = self._trie
+        return _join_up(head_bytes(), head_of, parent_of, b"")
 
     @functools.cached_property
     def entries(self) -> tuple[Gadget, ...]:
@@ -263,7 +249,7 @@ def enumerate_gadgets(
     from . import kernels
 
     # Per trie level, across sections: each window's address, its packed
-    # head encoding, and its parent's index in the level below.
+    # head encoding, the head's length, and its parent's index in the level below.
     blocks: list[list[tuple]] = []
     for s in image.executable_sections():
         trie = kernels.window_trie(s.data, window_back, max_insns)
@@ -273,7 +259,7 @@ def enumerate_gadgets(
             # this section's windows one level down are the last block there
             below = sum(len(b[0]) for b in blocks[i - 1][:-1]) if i else 0
             enc = kernels.pack_encodings(s.data, start, head)
-            blocks[i].append((s.vaddr + start.astype(np.int64), enc, parent + below))
+            blocks[i].append((s.vaddr + start.astype(np.int64), enc, head, parent + below))
     levels = [[np.concatenate(col) for col in zip(*level)] for level in blocks]
 
     # A window's bytes are its head encoding, then its parent's bytes, and
@@ -282,13 +268,16 @@ def enumerate_gadgets(
     # section holds it.  Ids ascend by level, then by (head, parent id): by
     # bytes within a level, since packed heads order as their bytes do.
     empty = np.zeros(0, np.int64)  # what an image without executable sections holds
-    packed = np.concatenate([empty] + [enc for _, enc, _ in levels])
+    packed = np.concatenate([empty] + [enc for _, enc, _, _ in levels])
     heads, enc_id = np.unique(packed, return_inverse=True)
-    cuts = np.cumsum([len(enc) for _, enc, _ in levels])[:-1]
+    # Equal heads are equally long, so one scatter gives each distinct head its length.
+    size = np.empty(len(heads), np.uint8)
+    size[enc_id] = np.concatenate([empty] + [head for _, _, head, _ in levels])
+    cuts = np.cumsum([len(enc) for _, enc, _, _ in levels])[:-1]
     addrs, gids, head_of, parent_of = [empty], [empty], [empty], [empty]
     count = 0
     ids = None  # the gadget id of each window one level down
-    for (addr, _, parent), enc in zip(levels, np.split(enc_id, cuts)):
+    for (addr, _, _, parent), enc in zip(levels, np.split(enc_id, cuts)):
         up = parent if ids is None else ids[parent]  # -1 at the roots
         key, inverse = np.unique(enc << 32 | (up + 1), return_inverse=True)
         ids = count + inverse
@@ -299,11 +288,11 @@ def enumerate_gadgets(
         parent_of.append((key & 0xFFFFFFFF) - 1)
     head_of, parent_of = np.concatenate(head_of).tolist(), np.concatenate(parent_of).tolist()
 
-    size = np.frombuffer(_FIRST_LENGTH, np.uint8)[heads >> 8 * (MAX_INSN_LEN - 1)]
     texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
 
     # The occurrences by address: the loader gives each executable address
     # one section, so at most one window starts there.
     addr, gid = np.concatenate(addrs), np.concatenate(gids)
     order = np.argsort(addr)
-    return GadgetListing(addr[order], gid[order], texts, heads, head_of, parent_of)
+    head_bytes = functools.partial(kernels.unpack_encodings, heads, size)
+    return GadgetListing(addr[order], gid[order], texts, head_bytes, head_of, parent_of)

@@ -23,8 +23,9 @@ index; the gadget listing reads only it.  :func:`scan_gadget_windows`
 flattens them into sorted ``(start, end)`` pairs; it stays only because
 ``ropbench/tracing.py`` patches it and the kernel tests call it.
 :func:`pack_encodings` reads encodings at given starts, by one gather, as
-integers that order as their bytes do; the listing keeps its distinct heads
-in that form and builds their bytes only on demand.
+integers that order as their bytes do, and :func:`unpack_encodings` inverts
+it; no other module reads their bits.  The listing keeps its distinct heads
+in that form, with their lengths from the trie, and builds their bytes only on demand.
 :func:`render_heads` renders packed encodings in one batch per rule, reading
 each rule's operand fields and its mnemonic's text template from
 :mod:`ropforge.disasm`, and :func:`render_rows` writes the listing's rows
@@ -142,6 +143,13 @@ def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.nda
     # 16 bits, which the mask clears along with the bytes past ``length``.
     words = _words(data, "<u8")[start].byteswap().view(np.int64)
     return (words >> 8 * (8 - disasm.MAX_INSN_LEN)) & _MASK[length]
+
+
+def unpack_encodings(packed: np.ndarray, length: np.ndarray) -> list[bytes]:
+    """The bytes of each encoding :func:`pack_encodings` packed with its ``length``."""
+    big = packed.astype(">u8").tobytes()
+    at = range(8 - disasm.MAX_INSN_LEN, len(big), 8)
+    return [big[i : i + n] for i, n in zip(at, length.tolist())]
 
 
 def _byte(packed: np.ndarray, at: int) -> np.ndarray:

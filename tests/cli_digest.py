@@ -8,7 +8,7 @@ print the same digest exactly when their output is byte-identical.  Prints
 the record count and the digest.  ``tests/test_cli.py`` checks both in
 Tier-1; a change to the CLI's output updates them there.
 
-Inputs: the test suite's demo binary with two chain files, and the benchmark
+Inputs: the test suite's demo binary with three chain files, and the benchmark
 generators' ``chain-small`` and ``chain-large`` seeds 101-102 cases 0-49 and
 ``scan-dense`` seeds 101-102 cases 0-1 at 8 KiB.  Run from the repository
 root (a few seconds)::
@@ -67,6 +67,9 @@ DEMO_CHAINS = {
     + "call: SecretFunctionWithoutParm\n" * 3
     + "final: sentinel\n",
     "fig7.rop": "binary: demo.elf\nret_offset: auto echo\ncall: SecretFunctionWithParm &str\n",
+    # negative words are two's complement: this final is the sentinel
+    "negative.rop": "binary: demo.elf\nret_offset: auto echo\n"
+    + "call: SecretFunctionWithParm -2\nfinal: -559038242\n",
 }
 
 

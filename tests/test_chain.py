@@ -205,24 +205,31 @@ def test_serialization_round_trip_matches_struct_oracle():
     assert payload.data[32:] == expected
 
 
+# Words as a chain file may give them: negative ones are two's complement.
+_words = st.integers(-(1 << 31), 0xFFFFFFFF)
+
+
 @given(
     st.lists(
         st.tuples(
-            st.integers(1, 0xFFFFFFFF),
-            st.lists(st.integers(0, 0xFFFFFFFF), max_size=3),
+            _words.filter(lambda t: t & 0xFFFFFFFF),
+            st.lists(_words, max_size=3),
         ),
         min_size=1,
         max_size=5,
     ),
     st.integers(0, 64),
+    _words,
 )
-def test_serialization_round_trip_random(calls, ret_offset):
+def test_serialization_round_trip_random(calls, ret_offset, final):
     steps = [CallStep(t, tuple(args)) for t, args in calls]
     if any(c.arity for c in steps[:-1]):
         return  # mid-chain args need a gadget set; covered elsewhere
-    layout = plan_chain(spec(steps, ret_offset=ret_offset))
+    layout = plan_chain(spec(steps, ret_offset=ret_offset, final=final))
+    # the records mask every word, so the layout holds 32-bit words only
+    assert all(0 <= w.value <= 0xFFFFFFFF for w in layout.words)
     payload = emit_payload(layout)
-    expected = b"".join(struct.pack("<I", w.value & 0xFFFFFFFF) for w in layout.words)
+    expected = b"".join(struct.pack("<I", w.value) for w in layout.words)
     assert payload.data[ret_offset:] == expected
     assert len(payload.data) == ret_offset + 4 * len(layout.words)
 
@@ -234,6 +241,14 @@ def test_spec_validation():
         spec([CallStep(0x80484A4)], ret_offset=-1)
     with pytest.raises(ValueError):
         CallStep(0)
+    with pytest.raises(ValueError):
+        CallStep(1 << 32)  # masks to 0
+
+
+def test_records_mask_words_to_32_bits():
+    step = CallStep(-1, (-2,))
+    assert step == (0xFFFFFFFF, (0xFFFFFFFE,))
+    assert spec([step], final=-1).final_target == 0xFFFFFFFF
 
 
 # Stack words the cleanup runs on: never mapped, so ip reaching one ends the run.

@@ -772,6 +772,13 @@ def test_verify_rejects_words_outside_32_bits(demo_binary, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "SecretFunctionWithParm(0x80000000)" in out
     assert "SecretFunctionWithParm(0xffffffff)" in out
+    # a negative final is two's complement too: this one is the sentinel
+    chain.write_text(
+        f"binary: {demo_binary}\nret_offset: auto echo\n"
+        "call: SecretFunctionWithoutParm\nfinal: -559038242\n"
+    )
+    assert main(["verify", str(demo_binary), str(chain)]) == 0
+    assert "EXIT (sentinel)" in capsys.readouterr().out
 
 
 def test_build_picks_cleanup_gadget_free_of_bad_bytes(tmp_path, capsys):
@@ -1194,8 +1201,8 @@ def test_import_loads_neither_dataclasses_nor_numpy(module):
 
 
 # A change that alters the CLI's output on purpose updates both and says why.
-DIGEST_RECORDS = 7424
-DIGEST = "084b1c21f5e20de0cbd8c6a2261e36eb1d46f2d78d0488da7a7facb6e1b750a0"
+DIGEST_RECORDS = 7456
+DIGEST = "61f010ed63cc3c51858d9d693637e8d338868cb13bcec4293a95a3af8d4f1fd8"
 
 
 def test_cli_output_matches_the_recorded_digest():

@@ -328,13 +328,13 @@ def test_listing_renders_every_rule():
 
 
 def test_every_first_byte_has_one_length():
-    # the listing reads a gadget's first instruction length off its first byte
+    # packed heads order as their bytes do because of it, and the listing
+    # gives equal packed heads one length from the trie
     lengths: dict[int, set[int]] = {}
     for rule in RULES:
         for b in range(rule.first[0], rule.first[1] + 1):
             lengths.setdefault(b, set()).add(rule.length)
     assert all(len(n) == 1 for n in lengths.values())
-    assert list(gadgets._FIRST_LENGTH) == [min(lengths.get(b, {0})) for b in range(256)]
 
 
 @settings(max_examples=150, deadline=None)

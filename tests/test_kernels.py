@@ -251,6 +251,17 @@ def test_pack_encodings_matches_plain_bytes(data):
     assert_packs_as_bytes(data)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_high_byte_text)
+def test_unpack_encodings_inverts_pack_encodings(data):
+    # every start and every length that fits in data
+    start, length = (a.ravel() for a in np.mgrid[: len(data), 1 : MAX_INSN_LEN + 1])
+    fits = start + length <= len(data)
+    start, length = start[fits], length[fits]
+    got = kernels.unpack_encodings(kernels.pack_encodings(data, start, length), length)
+    assert got == [data[s : s + n] for s, n in zip(start.tolist(), length.tolist())]
+
+
 def assert_rendered_as_decoded(encodings: list[bytes]):
     texts = kernels.render_heads(*packed(encodings))
     assert texts == [format_instruction(decode_one(e, 0)) for e in encodings]
