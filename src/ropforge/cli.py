@@ -9,7 +9,8 @@ patterns and locates crash values for targets where offset recovery fails.
 Exit codes: 0 ok, 2 io/parse errors, 3 offset recovery failed, 4 payload
 contains bad bytes, 5 chain planning failed, 6 verification failed.
 Verification is simulator-only; this tool never executes target binaries.
-Set ROPFORGE_COLOR=0 to disable ANSI styling.
+ROPFORGE_COLOR set to 0/off/never/false disables ANSI styling, 1/on/always/true
+forces it, and otherwise it follows whether stdout is a terminal.
 
 ``main`` reads a plain argv itself: when the first word names a subcommand
 and every later word is a positional or an exact option string with its one

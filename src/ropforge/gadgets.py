@@ -13,8 +13,8 @@ from its second instruction.  So level by level, across sections, each
 distinct (head, parent id) pair gets one gadget id, and ids stand for
 distinct byte strings without any window's bytes being sliced or hashed.
 The distinct heads stay packed (:func:`ropforge.kernels.pack_encodings`), as
-sort keys whose bits this module never reads, with their lengths from the
-trie, and are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
+sort keys that carry their lengths and whose bits this module never reads,
+and are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
 each id's text is its head's text, then ``" ; "`` and its parent's text.
 The rows are two numpy arrays, address and gadget id, in address order.  A
 gadget's class is a byte pattern read through the same byte-class table the
@@ -188,7 +188,7 @@ class GadgetListing(Sequence[Gadget]):
     one item per occurrence, its address and its gadget's id, ascending by
     address.  ``id_texts[i]`` is gadget ``i``'s text.  Gadget ``i`` is head
     ``head_of[i]``'s encoding followed by gadget ``parent_of[i]`` (-1 for
-    none), which has a lower id; ``head_bytes()`` returns each head's bytes.
+    none), which has a lower id; ``head_bytes()`` unpacks each head's bytes.
     ``id_bytes`` (the bytes of each id) and the :class:`Gadget` items are
     built on first access.
     """
@@ -249,7 +249,7 @@ def enumerate_gadgets(
     from . import kernels
 
     # Per trie level, across sections: each window's address, its packed
-    # head encoding, the head's length, and its parent's index in the level below.
+    # head encoding and its parent's index in the level below.
     blocks: list[list[tuple]] = []
     for s in image.executable_sections():
         trie = kernels.window_trie(s.data, window_back, max_insns)
@@ -259,7 +259,7 @@ def enumerate_gadgets(
             # this section's windows one level down are the last block there
             below = sum(len(b[0]) for b in blocks[i - 1][:-1]) if i else 0
             enc = kernels.pack_encodings(s.data, start, head)
-            blocks[i].append((s.vaddr + start.astype(np.int64), enc, head, parent + below))
+            blocks[i].append((s.vaddr + start.astype(np.int64), enc, parent + below))
     levels = [[np.concatenate(col) for col in zip(*level)] for level in blocks]
 
     # A window's bytes are its head encoding, then its parent's bytes, and
@@ -268,16 +268,13 @@ def enumerate_gadgets(
     # section holds it.  Ids ascend by level, then by (head, parent id): by
     # bytes within a level, since packed heads order as their bytes do.
     empty = np.zeros(0, np.int64)  # what an image without executable sections holds
-    packed = np.concatenate([empty] + [enc for _, enc, _, _ in levels])
+    packed = np.concatenate([empty] + [enc for _, enc, _ in levels])
     heads, enc_id = np.unique(packed, return_inverse=True)
-    # Equal heads are equally long, so one scatter gives each distinct head its length.
-    size = np.empty(len(heads), np.uint8)
-    size[enc_id] = np.concatenate([empty] + [head for _, _, head, _ in levels])
-    cuts = np.cumsum([len(enc) for _, enc, _, _ in levels])[:-1]
+    cuts = np.cumsum([len(enc) for _, enc, _ in levels])[:-1]
     addrs, gids, head_of, parent_of = [empty], [empty], [empty], [empty]
     count = 0
     ids = None  # the gadget id of each window one level down
-    for (addr, _, _, parent), enc in zip(levels, np.split(enc_id, cuts)):
+    for (addr, _, parent), enc in zip(levels, np.split(enc_id, cuts)):
         up = parent if ids is None else ids[parent]  # -1 at the roots
         key, inverse = np.unique(enc << 32 | (up + 1), return_inverse=True)
         ids = count + inverse
@@ -288,11 +285,11 @@ def enumerate_gadgets(
         parent_of.append((key & 0xFFFFFFFF) - 1)
     head_of, parent_of = np.concatenate(head_of).tolist(), np.concatenate(parent_of).tolist()
 
-    texts = _join_up(kernels.render_heads(heads, size), head_of, parent_of, " ; ")
+    texts = _join_up(kernels.render_heads(heads), head_of, parent_of, " ; ")
 
     # The occurrences by address: the loader gives each executable address
     # one section, so at most one window starts there.
     addr, gid = np.concatenate(addrs), np.concatenate(gids)
     order = np.argsort(addr)
-    head_bytes = functools.partial(kernels.unpack_encodings, heads, size)
+    head_bytes = functools.partial(kernels.unpack_encodings, heads)
     return GadgetListing(addr[order], gid[order], texts, head_bytes, head_of, parent_of)

@@ -23,10 +23,10 @@ index; the gadget listing reads only it.  :func:`scan_gadget_windows`
 flattens them into sorted ``(start, end)`` pairs; it stays only because
 ``ropbench/tracing.py`` patches it and the kernel tests call it.
 :func:`pack_encodings` reads encodings at given starts, by one gather, as
-integers that order as their bytes do, and :func:`unpack_encodings` inverts
-it; no other module reads their bits.  The listing keeps its distinct heads
-in that form, with their lengths from the trie, and builds their bytes only on demand.
-:func:`render_heads` renders packed encodings in one batch per rule, reading
+integers that order as their bytes do and carry their lengths, and
+:func:`unpack_encodings` inverts it; no other module reads their bits.  The
+listing keeps its distinct heads in that form and builds their bytes only on
+demand.  :func:`render_heads` renders packed encodings in one batch per rule, reading
 each rule's operand fields and its mnemonic's text template from
 :mod:`ropforge.disasm`, and :func:`render_rows` writes the listing's rows
 with numpy gathers.
@@ -132,29 +132,28 @@ _MASK = (1 << 8 * disasm.MAX_INSN_LEN) - (1 << 8 * np.arange(disasm.MAX_INSN_LEN
 
 def pack_encodings(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Each encoding ``data[start:start + length]`` as one ``int64``: its bytes
-    big-endian, zero-padded to ``MAX_INSN_LEN`` bytes.
-
-    Every first byte of the subset has one length, so two encodings that
-    start alike are equally long: they pack to equal numbers exactly when
-    their bytes are equal, and in the order of their bytes.
+    big-endian, zero-padded to ``MAX_INSN_LEN`` bytes, over its length in the
+    low byte.  Encodings pack to equal numbers exactly when their bytes are
+    equal, and in the order of their bytes: a tie of padded bytes is a prefix.
     """
     # The 8 bytes at each start, the first on top.  The shift drops the two
     # past MAX_INSN_LEN and sign-extends a first byte >= 0x80 into the top
-    # 16 bits, which the mask clears along with the bytes past ``length``.
+    # 16 bits, which the mask clears (before the length byte moves in) along
+    # with the bytes past ``length``.
     words = _words(data, "<u8")[start].byteswap().view(np.int64)
-    return (words >> 8 * (8 - disasm.MAX_INSN_LEN)) & _MASK[length]
+    return ((words >> 8 * (8 - disasm.MAX_INSN_LEN)) & _MASK[length]) << 8 | length
 
 
-def unpack_encodings(packed: np.ndarray, length: np.ndarray) -> list[bytes]:
-    """The bytes of each encoding :func:`pack_encodings` packed with its ``length``."""
+def unpack_encodings(packed: np.ndarray) -> list[bytes]:
+    """The bytes of each encoding :func:`pack_encodings` packed."""
     big = packed.astype(">u8").tobytes()
-    at = range(8 - disasm.MAX_INSN_LEN, len(big), 8)
-    return [big[i : i + n] for i, n in zip(at, length.tolist())]
+    at = range(7 - disasm.MAX_INSN_LEN, len(big), 8)
+    return [big[i : i + n] for i, n in zip(at, big[7::8])]
 
 
 def _byte(packed: np.ndarray, at: int) -> np.ndarray:
     """Byte ``at`` of each encoding :func:`pack_encodings` packed."""
-    return packed >> 8 * (disasm.MAX_INSN_LEN - 1 - at) & 0xFF
+    return packed >> 8 * (disasm.MAX_INSN_LEN - at) & 0xFF
 
 
 def _column(field, packed: np.ndarray) -> list:
@@ -171,18 +170,18 @@ def _column(field, packed: np.ndarray) -> list:
     return value.tolist()
 
 
-def render_heads(packed: np.ndarray, length: np.ndarray) -> list[str]:
+def render_heads(packed: np.ndarray) -> list[str]:
     """``format_instruction(decode_one(enc, 0))`` of each encoding ``enc``
-    that :func:`pack_encodings` packed with its ``length``.
+    that :func:`pack_encodings` packed.
 
     Encodings that select the same rule are rendered together: their operand
     columns are read in numpy and filled into the mnemonic's text template by
     one ``map``.  In ascending order, each rule's encodings form one run.
     Raises ValueError when one is not exactly one instruction of the subset.
     """
-    pair = packed >> 8 * (disasm.MAX_INSN_LEN - 2)  # the first two bytes
+    pair = packed >> 8 * (disasm.MAX_INSN_LEN - 1)  # the first two bytes
     rule = _RULE_AT[pair]
-    if not (rule.all() and (_RULE_LENGTH[rule] == length).all()):
+    if not (rule.all() and (_RULE_LENGTH[rule] == packed & 0xFF).all()):
         raise ValueError("an encoding that is not one instruction of the subset")
     # A run starts wherever the rule changes, and at 0, since no rule is 0.
     bounds = [*np.flatnonzero(np.diff(rule, prepend=0)).tolist(), len(rule)]

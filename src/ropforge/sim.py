@@ -180,9 +180,10 @@ def step(state: MachineState, stubs: Mapping[int, tuple[str, int]]) -> Terminati
                 ip = (ip + length) & _MASK
         elif m is Mnemonic.JMP_INDIRECT:
             ip = regs[operands[0]]
-        elif m is Mnemonic.CALL_INDIRECT:
+        elif m is Mnemonic.CALL_INDIRECT:  # as on x86, call esp goes to the esp before the push
+            target = regs[operands[0]]
             state.push((ip + length) & _MASK)
-            ip = regs[operands[0]]
+            ip = target
         else:  # the rest go on to the next instruction; nop does only that
             if m is Mnemonic.PUSH_REG:
                 state.push(regs[operands[0]])

@@ -8,10 +8,12 @@ print the same digest exactly when their output is byte-identical.  Prints
 the record count and the digest.  ``tests/test_cli.py`` checks both in
 Tier-1; a change to the CLI's output updates them there.
 
-Inputs: the test suite's demo binary with three chain files, and the benchmark
-generators' ``chain-small`` and ``chain-large`` seeds 101-102 cases 0-49 and
-``scan-dense`` seeds 101-102 cases 0-1 at 8 KiB.  Run from the repository
-root (a few seconds)::
+Inputs: the test suite's demo binary with three chain files; a small binary
+built here, verified against payloads that end in each termination but the
+sentinel and at the sentinel after a call with a wrong argument; and the
+benchmark generators' ``chain-small`` and ``chain-large`` seeds 101-102 cases
+0-49 and ``scan-dense`` seeds 101-102 cases 0-1 at 8 KiB.  Run from the
+repository root (a few seconds)::
 
     python tests/cli_digest.py
 """
@@ -33,7 +35,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "ropbench")]
 
 import conftest  # noqa: E402  (the demo binary)
 import inputs  # noqa: E402  (the benchmark's seeded cases)
+from ropforge.chain import EXIT_SENTINEL  # noqa: E402
 from ropforge.cli import main  # noqa: E402
+from ropforge.elfbuild import SectionSpec, SymbolSpec, build_elf  # noqa: E402
 
 sys.path[:] = _PATH  # loaded: an importing test run keeps its own path
 
@@ -70,6 +74,22 @@ DEMO_CHAINS = {
     # negative words are two's complement: this final is the sentinel
     "negative.rop": "binary: demo.elf\nret_offset: auto echo\n"
     + "call: SecretFunctionWithParm -2\nfinal: -559038242\n",
+}
+
+# The small binary's .text: pop eax ; ret, jmp eax, int 0x80, an unsupported
+# byte, pop esp ; ret, and the ret of function f, which the chain calls.
+MINI = 0x08049000
+MINI_TEXT = b"\x58\xc3" + b"\xff\xe0" + b"\xcd\x80" + b"\x0f" + b"\x5c\xc3" + b"\xc3"
+POP_EAX, JMP_EAX, INT, UNSUPPORTED, POP_ESP, F = (MINI + o for o in (0, 2, 4, 6, 7, 9))
+MINI_CHAIN = "binary: mini.elf\nret_offset: 4\ncall: f 0x11111111\n"
+# The words each payload holds from the saved return address on.
+MINI_PAYLOADS = {
+    "budget": [POP_EAX, JMP_EAX, JMP_EAX],  # jmp eax, to itself
+    "unsupported": [UNSUPPORTED],
+    "int": [INT],
+    "unmapped": [0x41414141],
+    "stack": [POP_ESP, 0x41414141],
+    "wrong-arg": [F, EXIT_SENTINEL, 0x22222222],
 }
 
 
@@ -112,6 +132,18 @@ def corpus(workdir: Path):
         yield ["gadgets", "demo.elf", *flags]
     for name in DEMO_CHAINS:
         yield from chain_commands("demo.elf", name)
+
+    (workdir / "mini.elf").write_bytes(
+        build_elf(
+            [SectionSpec(".text", MINI, MINI_TEXT, "ax")], symbols=[SymbolSpec("f", F, 1)]
+        )
+    )
+    (workdir / "mini.rop").write_text(MINI_CHAIN)
+    for name, words in MINI_PAYLOADS.items():
+        payload = b"AAAA" + b"".join(w.to_bytes(4, "little") for w in words)
+        (workdir / name).write_bytes(payload)
+        for json_flag in ([], ["--json"]):
+            yield ["verify", "mini.elf", "mini.rop", "--payload", name, *json_flag]
 
     for seed in (101, 102):
         for index in (0, 1):

@@ -1200,9 +1200,35 @@ def test_import_loads_neither_dataclasses_nor_numpy(module):
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "value, enabled",
+    [
+        ("0", False),
+        (" Off ", False),
+        ("NEVER", False),
+        ("false", False),
+        ("1", True),
+        ("on", True),
+        ("Always ", True),
+        ("TRUE", True),
+        ("yes", None),
+        (None, None),
+    ],
+)
+def test_color_follows_ropforge_color_else_the_terminal(monkeypatch, value, enabled):
+    # None: any other value, or none, leaves the choice to stdout's isatty
+    if value is None:
+        monkeypatch.delenv("ROPFORGE_COLOR")
+    else:
+        monkeypatch.setenv("ROPFORGE_COLOR", value)
+    for tty in (False, True):
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(isatty=lambda: tty))
+        assert cli._color_enabled() is (tty if enabled is None else enabled)
+
+
 # A change that alters the CLI's output on purpose updates both and says why.
-DIGEST_RECORDS = 7456
-DIGEST = "61f010ed63cc3c51858d9d693637e8d338868cb13bcec4293a95a3af8d4f1fd8"
+DIGEST_RECORDS = 7480
+DIGEST = "2ae2583f1596fd36cfc584778b0ba5a103224ec1b2a659b7cf2e2f3cd904898e"
 
 
 def test_cli_output_matches_the_recorded_digest():

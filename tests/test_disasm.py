@@ -26,7 +26,7 @@ def render_one(raw: bytes) -> str:
     """The batch renderer's text for ``raw``, packed as the listing packs a head."""
     length = np.array([len(raw)])
     head = kernels.pack_encodings(raw, np.zeros(1, np.intp), length)
-    return kernels.render_heads(head, length)[0]
+    return kernels.render_heads(head)[0]
 
 
 def test_rule_at_selects_the_rule_holding_each_byte_pair():

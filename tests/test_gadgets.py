@@ -328,8 +328,8 @@ def test_listing_renders_every_rule():
 
 
 def test_every_first_byte_has_one_length():
-    # packed heads order as their bytes do because of it, and the listing
-    # gives equal packed heads one length from the trie
+    # so no head is a proper prefix of another, and within a trie level the
+    # listing's (head, parent id) order is the windows' byte order
     lengths: dict[int, set[int]] = {}
     for rule in RULES:
         for b in range(rule.first[0], rule.first[1] + 1):

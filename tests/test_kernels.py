@@ -219,11 +219,11 @@ def test_window_trie_levels_match_brute_force(data, window_back, max_insns):
     assert set(windows) == oracle_bruteforce.brute_force_windows(data, window_back, max_insns)
 
 
-def packed(encodings: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """The encodings packed as the listing packs heads, and their lengths."""
+def packed(encodings: list[bytes]) -> np.ndarray:
+    """The encodings packed as the listing packs heads."""
     length = np.array([len(e) for e in encodings], np.intp)
     start = np.cumsum(length) - length
-    return kernels.pack_encodings(b"".join(encodings), start, length), length
+    return kernels.pack_encodings(b"".join(encodings), start, length)
 
 
 def assert_packs_as_bytes(data: bytes):
@@ -231,7 +231,7 @@ def assert_packs_as_bytes(data: bytes):
     start, length = (a.ravel() for a in np.mgrid[: len(data), 1 : MAX_INSN_LEN + 1])
     got = kernels.pack_encodings(data, start, length).tolist()
     want = [data[s : s + n].ljust(MAX_INSN_LEN, b"\0") for s, n in zip(start, length)]
-    assert got == [int.from_bytes(w, "big") for w in want]
+    assert got == [int.from_bytes(w, "big") << 8 | n for w, n in zip(want, length.tolist())]
 
 
 @pytest.mark.parametrize("size", range(8))
@@ -258,12 +258,12 @@ def test_unpack_encodings_inverts_pack_encodings(data):
     start, length = (a.ravel() for a in np.mgrid[: len(data), 1 : MAX_INSN_LEN + 1])
     fits = start + length <= len(data)
     start, length = start[fits], length[fits]
-    got = kernels.unpack_encodings(kernels.pack_encodings(data, start, length), length)
+    got = kernels.unpack_encodings(kernels.pack_encodings(data, start, length))
     assert got == [data[s : s + n] for s, n in zip(start.tolist(), length.tolist())]
 
 
 def assert_rendered_as_decoded(encodings: list[bytes]):
-    texts = kernels.render_heads(*packed(encodings))
+    texts = kernels.render_heads(packed(encodings))
     assert texts == [format_instruction(decode_one(e, 0)) for e in encodings]
 
 

@@ -157,7 +157,7 @@ def test_stack_pivot_gadget(demo_image):
 
 
 CODE = 0x08048000
-EAX, ECX, EBP = (REG_NAMES.index(r) for r in ("eax", "ecx", "ebp"))
+EAX, ECX, ESP, EBP = (REG_NAMES.index(r) for r in ("eax", "ecx", "esp", "ebp"))
 
 
 def boot_at(code: bytes):
@@ -169,13 +169,34 @@ def boot_at(code: bytes):
 
 
 def test_call_reg_pushes_the_next_instruction_then_jumps():
-    state = boot_at(b"\xff\xd0")  # call eax
+    # the target is read before the push: call esp jumps to the old esp
+    for code, reg in ((b"\xff\xd0", EAX), (b"\xff\xd4", ESP)):  # call eax, call esp
+        state = boot_at(code)
+        esp = state.esp
+        state.regs[EAX] = 0x11223344
+        target = state.regs[reg]
+        assert step(state, {}) is None
+        assert state.ip == target
+        assert state.esp == esp - 4
+        assert state.read32(state.esp) == CODE + 2
+
+
+def test_push_esp_pushes_the_old_esp():
+    state = boot_at(b"\x54")  # push esp
     esp = state.esp
-    state.regs[EAX] = 0x11223344
     assert step(state, {}) is None
-    assert state.ip == 0x11223344
     assert state.esp == esp - 4
-    assert state.read32(state.esp) == CODE + 2
+    assert state.read32(state.esp) == esp
+    assert state.ip == CODE + 1
+
+
+def test_pop_esp_loads_the_popped_word():
+    state = boot_at(b"\x5c")  # pop esp
+    esp = state.esp
+    state.write32(esp, esp + 16)  # a word inside the stack, so no fault follows
+    assert step(state, {}) is None
+    assert state.esp == esp + 16
+    assert state.ip == CODE + 1
 
 
 def test_ret_imm16_adds_its_immediate_after_the_pop():
@@ -211,6 +232,25 @@ def test_leave_moves_esp_to_ebp_before_it_pops():
     assert state.regs[EBP] == 0x13121110  # the word at the old ebp
     assert state.esp == esp + 20
     assert state.ip == CODE + 1
+
+
+@pytest.mark.parametrize(
+    "code, ebp, esp, fault",
+    [
+        (b"\xc9", 0x1000, None, 0x1000),  # leave, with ebp below the stack
+        (b"\xc2\x08\x00", None, STACK_TOP - 4, STACK_TOP + 8),  # ret 8 from the top word
+    ],
+    ids=["leave-ebp-outside", "ret-imm16-past-top"],
+)
+def test_pops_fault_where_esp_leaves_the_stack(code, ebp, esp, fault):
+    state = boot_at(code)
+    if ebp is not None:
+        state.regs[EBP] = ebp
+    if esp is not None:
+        state.esp = esp
+    assert step(state, {}) == Termination(
+        TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, fault
+    )
 
 
 def test_mov_reg_reg_copies_the_source_into_the_destination():
@@ -276,13 +316,13 @@ def test_software_interrupt_faults(demo_image):
 
 
 def test_stack_out_of_bounds(demo_image):
-    state = boot_state(demo_image, b"A" * 36, 32)
-    state.esp = STACK_TOP - 2  # a pop would cross the top
-    state.ip = 0x0804848F  # pop ebp ; ret
-    term = step(state, {})
-    assert term is not None
-    assert term.kind is TerminationKind.FAULT
-    assert term.fault is FaultKind.STACK_OUT_OF_BOUNDS
+    # a pop would cross the top, or starts exactly at it
+    for esp in (STACK_TOP - 2, STACK_TOP):
+        state = boot_state(demo_image, b"A" * 36, 32)
+        state.esp = esp
+        state.ip = 0x0804848F  # pop ebp ; ret
+        term = step(state, {})
+        assert term == Termination(TerminationKind.FAULT, FaultKind.STACK_OUT_OF_BOUNDS, esp)
 
 
 def test_stack_bounds_follow_the_region(demo_image):
