@@ -9,6 +9,9 @@ patterns and locates crash values for targets where offset recovery fails.
 Exit codes: 0 ok, 2 io/parse errors, 3 offset recovery failed, 4 payload
 contains bad bytes, 5 chain planning failed, 6 verification failed.
 Verification is simulator-only; this tool never executes target binaries.
+``gadgets`` lists an image whose executable sections hold at most
+``PLAIN_LISTING_MAX_BYTES`` bytes in plain Python, and a larger one with
+numpy, which only that listing imports; both print the same bytes.
 ROPFORGE_COLOR set to 0/off/never/false disables ANSI styling, 1/on/always/true
 forces it, and otherwise it follows whether stdout is a terminal.
 
@@ -41,7 +44,13 @@ from .errors import (
     RopforgeError,
     UnsatisfiableArityError,
 )
-from .gadgets import DEFAULT_MAX_INSNS, DEFAULT_WINDOW_BACK, classify_bytes, enumerate_gadgets
+from .gadgets import (
+    DEFAULT_MAX_INSNS,
+    DEFAULT_WINDOW_BACK,
+    classify_bytes,
+    enumerate_gadgets,
+    plain_listing,
+)
 from .image import load_image, lookup_symbol, stack_frame_displacement
 from .pattern import cyclic_pattern, pattern_offset
 from .sim import TerminationKind, format_trace, simulate, trace_jsonl
@@ -99,15 +108,47 @@ def _wanted(args, gclass) -> bool:
     return args.gadget_class in (None, gclass.kind) and args.arity in (None, gclass.arity)
 
 
-def cmd_gadgets(args) -> int:
-    import numpy as np  # numpy loads only when gadgets are listed
+# An image with at most this many executable bytes, all sections together, is
+# listed in plain Python (gadgets.plain_listing).  In a process that had
+# imported numpy, the plain listing of 4 KiB of scan-dense bytes took 0.35-0.5
+# ms longer than numpy's, and of 8 KiB 1.5-2.4 ms (2 cores, Python 3.11); a
+# fresh process also saves numpy's import, tens of ms.
+PLAIN_LISTING_MAX_BYTES = 4096
+
+
+def _plain_rows(listing, keep, head: str, after: str, texts: list[str]):
+    """The rendered rows of the wanted gadgets (all when ``keep`` is None)
+    and their count, as :func:`ropforge.kernels.render_rows` writes them."""
+    rows = [
+        f"{head}{a:08x}{after}{texts[g]}\n"
+        for a, g in zip(listing.addr, listing.gid)
+        if keep is None or keep[g]
+    ]
+    return rows, len(rows)
+
+
+def _numpy_rows(listing, keep, head: str, after: str, texts: list[str]):
+    """:func:`_plain_rows` of a :class:`ropforge.gadgets.GadgetListing`, by
+    numpy gathers."""
+    import numpy as np  # loads only for images past PLAIN_LISTING_MAX_BYTES
 
     from . import kernels
 
+    addr, gid = listing.addr, listing.gid
+    if keep is not None:
+        wanted = np.array(keep, bool)[gid]
+        addr, gid = addr[wanted], gid[wanted]
+    return kernels.render_rows(addr, gid, head, after, texts), len(addr)
+
+
+def cmd_gadgets(args) -> int:
     image = _load(args.binary)
-    listing = enumerate_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
-    addr, gid = listing.addr, listing.gid  # ascending by address
-    texts = listing.id_texts  # what each gadget's rows print after the address
+    if sum(len(s.data) for s in image.executable_sections()) <= PLAIN_LISTING_MAX_BYTES:
+        list_gadgets, rows = plain_listing, _plain_rows
+    else:
+        list_gadgets, rows = enumerate_gadgets, _numpy_rows
+    listing = list_gadgets(image, max_insns=args.max_insns, window_back=args.window_back)
+    texts, keep = listing.id_texts, None  # per gadget: what its rows print after the address
     if args.gadget_class is not None or args.arity is not None or args.json:
         # Each gadget is classified and dumped once; rows of unwanted ones go.
         keep, texts = [], []
@@ -121,14 +162,15 @@ def cmd_gadgets(args) -> int:
                 fields = {"bytes_hex": raw.hex(), "insns": insns, "class": gclass.render()}
                 text = json.dumps(fields)[1:]
             texts.append(text)
-        wanted = np.array(keep, bool)[gid]
-        addr, gid = addr[wanted], gid[wanted]
     if args.json:
-        sys.stdout.writelines(kernels.render_rows(addr, gid, '{"addr": "0x', '", ', texts))
+        head, after = '{"addr": "0x', '", '
     else:
         before, after = ("\x1b[36m", "\x1b[0m: ") if _color_enabled() else ("", ": ")
-        sys.stdout.writelines(kernels.render_rows(addr, gid, f"{before}0x", after, texts))
-        sys.stdout.write(f"{len(addr)} gadgets\n")
+        head = f"{before}0x"
+    lines, count = rows(listing, keep, head, after, texts)
+    sys.stdout.writelines(lines)
+    if not args.json:
+        sys.stdout.write(f"{count} gadgets\n")
     return EXIT_OK
 
 

@@ -16,12 +16,14 @@ The distinct heads stay packed (:func:`ropforge.kernels.pack_encodings`), as
 sort keys that carry their lengths and whose bits this module never reads,
 and are rendered in one batch per rule (:func:`ropforge.kernels.render_heads`);
 each id's text is its head's text, then ``" ; "`` and its parent's text.
-The rows are two numpy arrays, address and gadget id, in address order.  A
-gadget's class is a byte pattern read through the same byte-class table the
-cleanup search uses.  One record, :class:`Gadget` (bytes and ascending
-addresses), is both a listing item and the cleanup search's answer; the ids'
-bytes, the items and each gadget's decoded instructions are built only when
-asked for.
+The rows are two numpy arrays, address and gadget id, in address order.
+:func:`plain_listing` finds the same rows and texts without numpy, one window
+at a time, keyed by the windows' bytes; the CLI runs it on images small
+enough that importing numpy would cost more than it saves.  A gadget's class
+is a byte pattern read through the same byte-class table the cleanup search
+uses.  One record, :class:`Gadget` (bytes and ascending addresses), is both a
+listing item and the cleanup search's answer; the ids' bytes, the items and
+each gadget's decoded instructions are built only when asked for.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .disasm import (
+    FREE_BRANCHES,
     REG_NAMES,
+    RULE_AT,
     RULES,
     Instruction,
     Mnemonic,
+    decode_one,
     decode_window,
     format_instruction,
 )
@@ -223,6 +228,91 @@ class GadgetListing(Sequence[Gadget]):
         return iter(self.entries)
 
 
+def _check_limits(max_insns: int, window_back: int) -> None:
+    if max_insns < 1:
+        raise ValueError("max_insns must be >= 1")
+    if window_back < 1:
+        raise ValueError("window_back must be >= 1")
+
+
+# Per rule index of disasm.RULE_AT, 0 for none: a free branch's length, and a
+# normal instruction's length (each 0 for a rule of the other kind).
+_FREE_LENGTH = (0, *(r.length if r.mnemonic in FREE_BRANCHES else 0 for r in RULES))
+_NORMAL_LENGTH = (0, *(0 if r.mnemonic in FREE_BRANCHES else r.length for r in RULES))
+_NORMAL_LENGTHS = sorted(set(_NORMAL_LENGTH) - {0})
+# Section bytes read through this table: a byte that can begin a free branch is "t".
+_FREE_FIRSTS = {
+    b for r in RULES if r.mnemonic in FREE_BRANCHES for b in range(r.first[0], r.first[1] + 1)
+}
+_FREE_FIRST = bytes(ord("t") if b in _FREE_FIRSTS else ord(".") for b in range(256))
+
+
+class PlainListing(NamedTuple):
+    """:class:`GadgetListing`'s ``addr``, ``gid``, ``id_texts`` and
+    ``id_bytes``, as lists."""
+
+    addr: list[int]
+    gid: list[int]
+    id_texts: list[str]
+    id_bytes: list[bytes]
+
+
+def plain_listing(
+    image: BinaryImage,
+    max_insns: int = DEFAULT_MAX_INSNS,
+    window_back: int = DEFAULT_WINDOW_BACK,
+) -> PlainListing:
+    """The rows and gadget texts of :func:`enumerate_gadgets`, found in plain
+    Python, for images too small to repay importing numpy.
+
+    The same backward walk as :func:`ropforge.kernels.window_trie`, one
+    window at a time: each terminator is a window, and a window at ``q``
+    grows to ``q - k`` when a normal instruction of length ``k`` decodes
+    there, no lower than the lowest terminator closing the same end minus
+    ``window_back``, up to ``max_insns`` instructions.  Equal window bytes
+    are one gadget id, and an id's text is its head's text, then ``" ; "``
+    and its parent's text.
+    """
+    _check_limits(max_insns, window_back)
+    ids: dict[bytes, int] = {}  # gadget bytes, in id order
+    texts: list[str] = []
+    head_texts: dict[bytes, str] = {}
+    rows: list[tuple[int, int]] = []
+    for s in image.executable_sections():
+        # Byte pairs are read from the bytes and one 0, as the decoder reads a
+        # missing last second byte.
+        data, pairs = s.data, s.data + bytes(1)
+        # (start, head length, end, bound, parent id, instructions); the
+        # terminators ascend, so the first to close an end is the lowest.
+        todo, lowest = [], {}
+        view = data.translate(_FREE_FIRST)
+        t = view.find(b"t")
+        while t >= 0:
+            end = t + _FREE_LENGTH[RULE_AT[pairs[t] << 8 | pairs[t + 1]]]
+            if t < end <= len(data):
+                bound = max(lowest.setdefault(end, t) - window_back, 0)
+                todo.append((t, end - t, end, bound, -1, 1))
+            t = view.find(b"t", t + 1)
+        while todo:
+            start, k, end, bound, parent, size = todo.pop()
+            raw = data[start:end]
+            g = ids.get(raw)
+            if g is None:
+                g = ids[raw] = len(texts)
+                head = raw[:k]
+                if head not in head_texts:
+                    head_texts[head] = format_instruction(decode_one(head, 0))
+                texts.append(head_texts[head] + (" ; " + texts[parent] if parent >= 0 else ""))
+            rows.append((s.vaddr + start, g))
+            if size < max_insns:
+                for k in _NORMAL_LENGTHS:
+                    q = start - k
+                    if q >= bound and _NORMAL_LENGTH[RULE_AT[pairs[q] << 8 | pairs[q + 1]]] == k:
+                        todo.append((q, k, end, bound, g, size + 1))
+    rows.sort()
+    return PlainListing([a for a, _ in rows], [g for _, g in rows], texts, list(ids))
+
+
 def enumerate_gadgets(
     image: BinaryImage,
     max_insns: int = DEFAULT_MAX_INSNS,
@@ -239,12 +329,9 @@ def enumerate_gadgets(
     addresses.  Entry order is by gadget bytes, so the result does not
     depend on section order.
     """
-    if max_insns < 1:
-        raise ValueError("max_insns must be >= 1")
-    if window_back < 1:
-        raise ValueError("window_back must be >= 1")
+    _check_limits(max_insns, window_back)
 
-    import numpy as np  # numpy loads only when gadgets are listed
+    import numpy as np  # here, not at import: plain_listing runs without it
 
     from . import kernels
 

@@ -12,8 +12,10 @@ Inputs: the test suite's demo binary with three chain files; a small binary
 built here, verified against payloads that end in each termination but the
 sentinel and at the sentinel after a call with a wrong argument; and the
 benchmark generators' ``chain-small`` and ``chain-large`` seeds 101-102 cases
-0-49 and ``scan-dense`` seeds 101-102 cases 0-1 at 8 KiB.  Run from the
-repository root (a few seconds)::
+0-49 and ``scan-dense`` seeds 101-102 cases 0-1 at 8 KiB; and two-section
+images of ``scan-dense`` bytes with ``PLAIN_EDGE`` and ``PLAIN_EDGE + 1``
+executable bytes, on either side of the CLI's switch from the plain listing to
+numpy's.  Run from the repository root (a few seconds)::
 
     python tests/cli_digest.py
 """
@@ -57,6 +59,9 @@ GADGET_FLAGS = [
     ["--max-insns", "8", "--window-back", "40"],
     ["--json", "--max-insns", "12", "--window-back", "40"],
 ]
+# cli.PLAIN_LISTING_MAX_BYTES, which test_cli.py checks: the most executable
+# bytes the CLI lists without numpy.
+PLAIN_EDGE = 4096
 FORMATS = ("raw", "hex", "escaped")
 PATTERN = [
     ["pattern", "200"],
@@ -91,6 +96,19 @@ MINI_PAYLOADS = {
     "stack": [POP_ESP, 0x41414141],
     "wrong-arg": [F, EXIT_SENTINEL, 0x22222222],
 }
+
+
+def edge_elf(size: int) -> bytes:
+    """An image of two executable sections holding ``size`` bytes together,
+    ``scan-dense`` seed 103's, in halves 64 KiB apart."""
+    text = inputs.scan_dense(103, 0, size).text
+    half = size // 2
+    return build_elf(
+        [
+            SectionSpec(".text", inputs.DENSE_VADDR, text[:half], "ax"),
+            SectionSpec(".text2", inputs.DENSE_VADDR + 0x10000, text[half:], "ax"),
+        ]
+    )
 
 
 def run(argv: list[str]) -> tuple:
@@ -144,6 +162,11 @@ def corpus(workdir: Path):
         (workdir / name).write_bytes(payload)
         for json_flag in ([], ["--json"]):
             yield ["verify", "mini.elf", "mini.rop", "--payload", name, *json_flag]
+
+    for size in (PLAIN_EDGE, PLAIN_EDGE + 1):
+        (workdir / "edge.elf").write_bytes(edge_elf(size))
+        for flags in GADGET_FLAGS:
+            yield ["gadgets", "edge.elf", *flags]
 
     for seed in (101, 102):
         for index in (0, 1):

@@ -5,12 +5,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1172,21 +1174,6 @@ def test_build_then_verify_large_ret_offset(demo_binary, tmp_path, capsys, ret_o
     assert out.count("CALL 0x080484a4 SecretFunctionWithParm(0x0804a030)\n") == 2
 
 
-def test_only_gadgets_imports_numpy(demo_binary, tmp_path):
-    chain = write_chain(tmp_path, FIG7_CHAIN, demo_binary)
-    script = (
-        "import sys\n"
-        "from ropforge.cli import main\n"
-        f"assert main(['build', {str(chain)!r}, '--out', {str(tmp_path / 'p')!r}]) == 0\n"
-        f"assert main(['verify', {str(demo_binary)!r}, {str(chain)!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
-        f"assert main(['gadgets', {str(demo_binary)!r}]) == 0\n"
-        "assert 'numpy' in sys.modules\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
 @pytest.mark.parametrize("module", ["ropforge.cli", "ropforge.elfbuild"])
 def test_import_loads_neither_dataclasses_nor_numpy(module):
     # -S: no site-packages, so no .pth file imports either module first
@@ -1227,8 +1214,8 @@ def test_color_follows_ropforge_color_else_the_terminal(monkeypatch, value, enab
 
 
 # A change that alters the CLI's output on purpose updates both and says why.
-DIGEST_RECORDS = 7480
-DIGEST = "2ae2583f1596fd36cfc584778b0ba5a103224ec1b2a659b7cf2e2f3cd904898e"
+DIGEST_RECORDS = 7536
+DIGEST = "e54296871e8fa377e3e073f47f2584869ce33941c2836b4cfea1e88022031b27"
 
 
 def test_cli_output_matches_the_recorded_digest():
@@ -1240,3 +1227,94 @@ def test_cli_output_matches_the_recorded_digest():
 
     assert cli_digest.digest() == (DIGEST_RECORDS, DIGEST)
     assert (os.environ.get("ROPFORGE_COLOR"), os.getcwd(), sys.path) == before
+    # its edge images lie on either side of the switch to the numpy listing
+    assert cli_digest.PLAIN_EDGE == cli.PLAIN_LISTING_MAX_BYTES
+
+
+# The tests below import cli_digest; the one above imports it first, so it
+# sees the import leave sys.path as it was.
+
+
+def test_only_gadgets_imports_numpy(demo_binary, tmp_path, bench_modules):
+    # numpy loads only to list more than PLAIN_LISTING_MAX_BYTES executable bytes
+    import cli_digest
+
+    inputs, _ = bench_modules
+    chain = write_chain(tmp_path, FIG7_CHAIN, demo_binary)
+    edge, past, dense = tmp_path / "edge", tmp_path / "past", tmp_path / "dense"
+    edge.write_bytes(cli_digest.edge_elf(cli.PLAIN_LISTING_MAX_BYTES))
+    past.write_bytes(cli_digest.edge_elf(cli.PLAIN_LISTING_MAX_BYTES + 1))
+    dense.write_bytes(inputs.scan_dense(101, 0).files[inputs.BINARY])
+    script = (
+        "import sys\n"
+        "from ropforge.cli import main\n"
+        f"assert main(['build', {str(chain)!r}, '--out', {str(tmp_path / 'p')!r}]) == 0\n"
+        f"assert main(['verify', {str(demo_binary)!r}, {str(chain)!r}]) == 0\n"
+        f"for flags in {cli_digest.GADGET_FLAGS!r}:\n"
+        f"    assert main(['gadgets', {str(demo_binary)!r}, *flags]) == 0\n"
+        f"    assert main(['gadgets', {str(edge)!r}, *flags]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert main(['gadgets', sys.argv[1]]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    for binary in (past, dense):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(binary)], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+
+# Executable bytes in the benchmark's scan-dense mix: uniform bytes plus extra
+# terminators, pops and nops.
+_DENSE_MIX = bytes(range(256)) + bytes([0xC3, 0xC2, 0xFF, 0x58, 0x5B, 0x5D, 0x90]) * 8
+_PLAIN_MAX = cli.PLAIN_LISTING_MAX_BYTES
+
+
+@st.composite
+def listing_images(draw):
+    """ELF bytes whose one to three executable sections hold 0 to twice
+    PLAIN_LISTING_MAX_BYTES bytes together, often exactly that many or one
+    more: seeded scan-dense bytes with drawn instruction text over their
+    start.  Its data section holds a gadget's bytes, which are not listed."""
+    edge = st.sampled_from([_PLAIN_MAX, _PLAIN_MAX + 1])
+    size = draw(st.one_of(st.integers(0, 2 * _PLAIN_MAX), edge))
+    data = bytearray(random.Random(draw(st.integers(0, 2**32))).choices(_DENSE_MIX, k=size))
+    text = draw(insn_text)[:size]
+    data[: len(text)] = text
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=2)))
+    specs = [
+        SectionSpec(f".t{i}", 0x08048000 + 0x10000 * i, bytes(data[lo:hi]), "ax")
+        for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, size]))
+    ]
+    specs.append(SectionSpec(".data", 0x08100000, b"\x58\xc3", "wa"))
+    return build_elf(draw(st.permutations(specs)))
+
+
+# Limits: small, zero, negative, and past any section.
+_limits = st.one_of(st.integers(-1, 12), st.just(10**11))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    listing_images(),
+    st.lists(st.tuples(st.sampled_from(["--max-insns", "--window-back"]), _limits), max_size=2),
+)
+def test_plain_and_numpy_listings_print_the_same(elf, limits):
+    # every flag set of the digest corpus, with and without colour, then the
+    # drawn limits, which override the set's: the same exit code, stdout and
+    # stderr whichever listing runs
+    import cli_digest
+
+    extra = [str(word) for limit in limits for word in limit]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        binary = Path(tmp) / "target"
+        binary.write_bytes(elf)
+        for flags in cli_digest.GADGET_FLAGS:
+            for color in ("0", "1"):
+                os.environ["ROPFORGE_COLOR"] = color
+                argv = ["gadgets", str(binary), *flags, *extra]
+                outcomes = []
+                for most in (1 << 62, -1):  # plain, then numpy
+                    with mock.patch.object(cli, "PLAIN_LISTING_MAX_BYTES", most):
+                        outcomes.append(cli_digest.run(argv))
+                assert outcomes[0] == outcomes[1]

@@ -312,6 +312,30 @@ def test_gadget_ids_follow_bytes(img):
     assert _rows(listing) == sorted(windows, key=lambda w: w[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(section_sets(), pop_heavy_images(insn_text)), st.integers(1, 8), st.integers(1, 30)
+)
+# ret 0xc300 and the ret in its immediate close one end: the window at 0 ends
+# in the ret, and lies within window_back of the lower terminator only
+@example(image_of(b"\xb8\x00\x00\xc2\x00\xc3"), 5, 3)
+def test_plain_listing_matches_brute_force(img, max_insns, window_back):
+    # the numpy-free listing: each window once, by address, one id per
+    # distinct byte string, and each id's text its bytes' decode
+    listing = gadgets.plain_listing(img, max_insns=max_insns, window_back=window_back)
+    windows = {
+        (s.vaddr + start, s.data[start:end])
+        for s in img.executable_sections()
+        for start, end in oracle_bruteforce.brute_force_windows(s.data, window_back, max_insns)
+    }
+    raws = listing.id_bytes
+    assert len(set(raws)) == len(raws) == len({raw for _, raw in windows})
+    rows = [(a, raws[g]) for a, g in zip(listing.addr, listing.gid, strict=True)]
+    assert rows == sorted(windows, key=lambda w: w[0])
+    for raw, text in zip(raws, listing.id_texts, strict=True):
+        assert text == Gadget(raw, (0,)).render()
+
+
 def test_listing_renders_every_rule():
     # one encoding of every rule, each followed by ret, in one section: each
     # heads a listed gadget whose text is its decode's
